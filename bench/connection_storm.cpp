@@ -1,12 +1,7 @@
 // connection_storm: the acceptance bench for the sharded epoll I/O plane
-// (docs/SERVICE.md "I/O plane", docs/PERF.md).  Proves the epoll plane
-// holds tens of thousands of mostly-idle connections while serving a hot
-// cache-hit workload — the regime where the legacy thread-per-connection
-// plane burns a kernel thread (two VMAs: stack + guard page) per idle
-// socket and hits the default-kernel `vm.max_map_count` ceiling of 65530
-// at roughly 32k connections — without regressing small-fleet latency.
-//
-// Per plane (--mode epoll|blocking|both):
+// (docs/SERVICE.md "I/O plane", docs/PERF.md).  Proves the server holds
+// tens of thousands of mostly-idle connections while serving a hot
+// cache-hit workload without regressing small-fleet latency.
 //
 //   latency — on a fresh, otherwise idle server, 64 closed-loop
 //             connections time every request -> p50/p99 microseconds
@@ -20,24 +15,20 @@
 //             pipelined burst, disconnect — the shape netemu_query
 //             produces) for a fixed wall-clock box (--hot-seconds) while
 //             the storm stays parked.  qps counts only requests that were
-//             answered inside the box; a plane refusing connections at
-//             its scaling ceiling earns a collapse, not a fast failure.
+//             answered inside the box.
 //
 // Gates (full mode only; --smoke records numbers without gating):
-//   * the epoll plane sustains every storm connection
-//   * the epoll hot phase is failure-free
-//   * epoll hot qps >= 3x the blocking plane's under the storm
-//   * epoll p99 at 64 connections <= 1.10x the blocking plane's
+//   * every storm connection is sustained
+//   * the hot phase is failure-free
+//   * hot qps >= kHotQpsFloor under the storm
+//   * p99 at 64 connections <= kP99CeilingUs
 //
-// The blocking plane is expected to fall over under the full storm: every
-// parked connection pins a live thread, every churned connection leaves a
-// dead-but-unjoined thread whose stack stays mapped until stop(), and the
-// two together march the process into the kernel's map ceiling, after
-// which it refuses all new connections.  That collapse is the measured
-// finding, not a bench failure — only the epoll plane must stay clean.
+// The two numeric gates are absolute and hold only on the host they were
+// measured on (see the constants).
 //
-// Writes BENCH_service.json (schema netemu-bench-service/1) so every PR has
-// a tracked serving-plane baseline next to BENCH_sim.json.
+// Writes BENCH_service.json (schema netemu-bench-service/2, with a host
+// block) so every change has a tracked serving-plane baseline next to
+// BENCH_sim.json.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -71,6 +62,20 @@ using namespace netemu;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Absolute full-mode gates.  They replace the relative gates "hot qps >= 3x
+// the thread-per-connection plane" and "p99 <= 1.10x that plane's", taken
+// in their strictest form over six full-mode `--mode both` runs of the last
+// build that still had that plane, on a 4-core "Intel(R) Xeon(R)
+// Processor" VM (Linux 6.18, g++ 12.2, Release, storm fd-capped at 9744
+// connections): 3x the highest blocking hot qps seen (18262.39 req/s) and
+// 1.10x the lowest blocking p99 seen (732.4 us).  They mean something only
+// on that host; see docs/PERF.md for the runs.  The epoll plane's own p99
+// was above that ceiling in every run on that host, before and after the
+// deletion, so full mode fails its p99 check there until the reactor's
+// small-fleet tail is fixed (docs/PERF.md, "Status on the floor host").
+constexpr double kHotQpsFloor = 54787.0;
+constexpr double kP99CeilingUs = 805.7;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -130,9 +135,8 @@ class RawConn {
 
   /// Send `payload` (pre-framed request lines) in one burst and read until
   /// `expect_lines` responses arrived.  The pipelined shape is the point:
-  /// the epoll plane answers a whole burst with one coalesced flush where
-  /// the blocking plane pays a write syscall per response.  False on any
-  /// transport failure (including the server refusing the connection).
+  /// the reactor answers a whole burst with one coalesced flush.  False on
+  /// any transport failure (including the server refusing the connection).
   bool burst(const std::string& payload, std::size_t expect_lines,
              std::string* responses) {
     std::size_t off = 0;
@@ -200,7 +204,7 @@ std::vector<std::string> warm_workload() {
   return lines;
 }
 
-struct PlaneResult {
+struct StormResult {
   std::size_t storm_target = 0;
   std::size_t storm_open = 0;   ///< connections that answered a ping
   double storm_s = 0.0;         ///< open+verify wall time
@@ -211,11 +215,10 @@ struct PlaneResult {
   double p99_us = 0.0;
 };
 
-PlaneResult run_plane(bool blocking_plane, std::size_t storm_conns,
-                      double hot_seconds, std::size_t hot_workers,
-                      std::size_t latency_conns,
+StormResult run_storm(std::size_t storm_conns, double hot_seconds,
+                      std::size_t hot_workers, std::size_t latency_conns,
                       std::uint64_t latency_requests) {
-  PlaneResult result;
+  StormResult result;
   result.storm_target = storm_conns;
 
   // A cheap echo compute: the bench measures the serving stack, not the
@@ -230,7 +233,6 @@ PlaneResult run_plane(bool blocking_plane, std::size_t storm_conns,
 
   Server::Options server_options;
   server_options.port = 0;
-  server_options.blocking_plane = blocking_plane;
   Server server(executor, server_options);
   std::string error;
   if (!server.start(&error)) {
@@ -239,7 +241,7 @@ PlaneResult run_plane(bool blocking_plane, std::size_t storm_conns,
   }
 
   // Warm the cache so everything after is pure cache hits (served inline
-  // on the reactor by the epoll plane's fast path).
+  // on the reactor by the fast path).
   const std::vector<std::string> workload = warm_workload();
   {
     Client warm;
@@ -250,10 +252,9 @@ PlaneResult run_plane(bool blocking_plane, std::size_t storm_conns,
   }
 
   // --- latency: closed-loop probes on the fresh, idle server.  Runs
-  // before the storm so the small-fleet percentiles measure the plane,
-  // not the wreckage the storm leaves behind (the blocking plane keeps
-  // dead connection-thread stacks mapped until stop()).  Best of two
-  // reps: a single percentile sample on a shared box gates on noise. ---
+  // before the storm so the small-fleet percentiles measure the server,
+  // not the storm's aftermath.  Best of two reps: a single percentile
+  // sample on a shared box gates on noise. ---
   for (int rep = 0; rep < 2; ++rep) {
     std::vector<std::thread> threads;
     std::vector<std::vector<double>> latencies(latency_conns);
@@ -292,10 +293,8 @@ PlaneResult run_plane(bool blocking_plane, std::size_t storm_conns,
     if (!conn.connect_to(server.port(), static_cast<std::uint32_t>(i)))
       continue;
     std::string response;
-    // The ping proves the server actually serves this connection: the
-    // blocking plane accepts into its backlog and then refuses once it can
-    // no longer spawn the connection thread (at the kernel's default
-    // vm.max_map_count, around 32k threads).
+    // The ping proves the server actually serves this connection, not just
+    // that the kernel accepted it into the listen backlog.
     if (!conn.roundtrip(ping, &response)) continue;
     if (response.find("\"pong\":true") == std::string::npos) continue;
     parked.push_back(std::move(conn));
@@ -307,18 +306,14 @@ PlaneResult run_plane(bool blocking_plane, std::size_t storm_conns,
   {
     // The active-traffic shape the repo's own clients produce: a fresh
     // connection, one pipelined burst of requests, disconnect (netemu_query
-    // opens a connection per CLI invocation).  Under churn the planes'
-    // architectures diverge hardest — the blocking plane pays a thread
-    // spawn per arriving connection and leaks the dead thread's stack
-    // mappings afterwards (it joins only at stop()), so the parked storm
-    // plus sustained churn march it into the kernel map ceiling mid-box;
-    // the epoll plane pays an O(1) shard registration and reclaims the
-    // slot on close — all while the storm holds its fds open.
+    // opens a connection per CLI invocation).  Each arrival costs the
+    // reactor an O(1) shard registration, reclaimed on close, while the
+    // storm holds its fds open.
     constexpr std::size_t kBurst = 4;
     // A fixed wall-clock box, two reps, best kept: sustained goodput over
     // a box is what a collapse shows up in, and a single timing on a
-    // shared machine is too noisy to gate a plane-vs-plane ratio on (same
-    // best-of discipline as micro_sim).
+    // shared machine is too noisy to gate on (same best-of discipline as
+    // micro_sim).
     for (int rep = 0; rep < 2; ++rep) {
       std::vector<std::thread> threads;
       std::vector<std::uint64_t> failures(hot_workers, 0);
@@ -346,17 +341,8 @@ PlaneResult run_plane(bool blocking_plane, std::size_t storm_conns,
         }
       };
       for (std::size_t w = 0; w < hot_workers; ++w) {
-        // The blocking plane under test can exhaust the whole process's
-        // thread headroom (its dead connection threads keep their stacks
-        // mapped); the bench's own workers must survive that, so a failed
-        // spawn falls back to measuring from this thread alone.
-        try {
-          threads.emplace_back(worker, w);
-        } catch (const std::system_error&) {
-          break;
-        }
+        threads.emplace_back(worker, w);
       }
-      if (threads.empty()) worker(0);
       for (auto& t : threads) t.join();
       const double hot_s = seconds_since(hot_start);
       std::uint64_t total_failed = 0, total_answered = 0;
@@ -366,9 +352,9 @@ PlaneResult run_plane(bool blocking_plane, std::size_t storm_conns,
       }
       result.hot_failures += total_failed;
       result.hot_ok += total_answered;
-      // Only answered requests count, over the whole box: a plane refusing
-      // connections at its ceiling must not convert fast failures into
-      // apparent throughput.
+      // Only answered requests count, over the whole box: a server refusing
+      // connections must not convert fast failures into apparent
+      // throughput.
       const double qps = hot_s > 0.0
                              ? static_cast<double>(total_answered) / hot_s
                              : 0.0;
@@ -381,7 +367,7 @@ PlaneResult run_plane(bool blocking_plane, std::size_t storm_conns,
   return result;
 }
 
-Json plane_json(const PlaneResult& r) {
+Json storm_json(const StormResult& r) {
   Json doc = Json::object();
   doc["storm_target"] = static_cast<double>(r.storm_target);
   doc["storm_open"] = static_cast<double>(r.storm_open);
@@ -394,23 +380,37 @@ Json plane_json(const PlaneResult& r) {
   return doc;
 }
 
+/// The host a record was measured on: an absolute gate means something only
+/// next to the machine and build it was set on.
+Json host_json() {
+  Json host = Json::object();
+  host["nproc"] = static_cast<double>(std::thread::hardware_concurrency());
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) {
+        cpu_model = line.substr(line.find_first_not_of(' ', colon + 1));
+      }
+      break;
+    }
+  }
+  host["cpu_model"] = cpu_model;
+  host["compiler"] = NETEMU_COMPILER;
+  host["build_type"] = NETEMU_BUILD_TYPE;
+  return host;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool smoke = cli.has("smoke");
-  const std::string mode = cli.get("mode", "both");
-  const bool run_epoll = mode == "both" || mode == "epoll";
-  const bool run_blocking = mode == "both" || mode == "blocking";
-  if (!run_epoll && !run_blocking) {
-    std::cerr << "connection_storm: --mode must be epoll|blocking|both\n";
-    return 2;
-  }
 
-  // The full-mode default of 40000 sits deliberately above the blocking
-  // plane's structural ceiling (~32k threads at the default-kernel
-  // vm.max_map_count of 65530) and below the epoll plane's only real
-  // limit, file descriptors.
+  // The full-mode default of 40000 needs more than one source ip's
+  // ephemeral ports (see RawConn::connect_to); file descriptors are the
+  // server's only real limit.
   auto storm_conns = static_cast<std::size_t>(
       cli.get_int("connections", smoke ? 256 : 40000));
   const double hot_seconds = static_cast<double>(
@@ -436,7 +436,8 @@ int main(int argc, char** argv) {
   }
 
   Json doc = Json::object();
-  doc["schema"] = "netemu-bench-service/1";
+  doc["schema"] = "netemu-bench-service/2";
+  doc["host"] = host_json();
   doc["smoke"] = smoke;
   doc["connections"] = static_cast<double>(storm_conns);
   // Honest scaling report: when the fd limit shrank the storm, say so in
@@ -448,33 +449,19 @@ int main(int argc, char** argv) {
     doc["rlimit_nofile"] = static_cast<double>(limit);
   }
   doc["hot_seconds"] = hot_seconds;
+  doc["hot_qps_floor"] = kHotQpsFloor;
+  doc["p99_ceiling_us"] = kP99CeilingUs;
 
-  PlaneResult epoll, blocking;
-  if (run_epoll) {
-    std::cerr << "connection_storm: epoll plane...\n";
-    epoll = run_plane(false, storm_conns, hot_seconds, hot_workers,
-                      latency_conns, latency_requests);
-    doc["epoll"] = plane_json(epoll);
-  }
-  if (run_blocking) {
-    std::cerr << "connection_storm: blocking plane...\n";
-    blocking = run_plane(true, storm_conns, hot_seconds, hot_workers,
-                         latency_conns, latency_requests);
-    doc["blocking"] = plane_json(blocking);
-  }
+  const StormResult r = run_storm(storm_conns, hot_seconds, hot_workers,
+                                  latency_conns, latency_requests);
+  doc["epoll"] = storm_json(r);
 
-  Table t({"plane", "storm open", "storm s", "hot qps", "fail", "p50 us",
-           "p99 us"});
-  const auto add_row = [&t](const char* name, const PlaneResult& r) {
-    t.add_row({name,
-               Table::integer(static_cast<std::int64_t>(r.storm_open)) + "/" +
-                   Table::integer(static_cast<std::int64_t>(r.storm_target)),
-               Table::num(r.storm_s, 2), Table::num(r.hot_qps, 0),
-               Table::integer(static_cast<std::int64_t>(r.hot_failures)),
-               Table::num(r.p50_us, 1), Table::num(r.p99_us, 1)});
-  };
-  if (run_epoll) add_row("epoll", epoll);
-  if (run_blocking) add_row("blocking", blocking);
+  Table t({"storm open", "storm s", "hot qps", "fail", "p50 us", "p99 us"});
+  t.add_row({Table::integer(static_cast<std::int64_t>(r.storm_open)) + "/" +
+                 Table::integer(static_cast<std::int64_t>(r.storm_target)),
+             Table::num(r.storm_s, 2), Table::num(r.hot_qps, 0),
+             Table::integer(static_cast<std::int64_t>(r.hot_failures)),
+             Table::num(r.p50_us, 1), Table::num(r.p99_us, 1)});
   t.print(std::cout);
 
   const std::string out_path = cli.get("out", "BENCH_service.json");
@@ -487,22 +474,17 @@ int main(int argc, char** argv) {
   std::cerr << "connection_storm: wrote " << out_path << "\n";
 
   bench::Verdict verdict;
-  if (run_epoll) {
-    verdict.check(epoll.storm_open == storm_conns,
-                  "epoll plane sustained every storm connection");
-    verdict.check(epoll.hot_failures == 0, "epoll hot phase fully ok");
-  }
-  if (!smoke && run_epoll && run_blocking) {
-    // The headline gates (docs/PERF.md): under a storm past the thread
-    // ceiling the epoll plane must clearly beat thread-per-connection
-    // without giving back small-fleet latency.  The blocking plane is
-    // allowed — expected — to refuse connections and fail bursts here;
-    // that collapse is the measurement.  Smoke mode records numbers but
-    // does not gate: CI smoke boxes are too noisy for ratio gates.
-    verdict.check(epoll.hot_qps >= 3.0 * blocking.hot_qps,
-                  "epoll hot qps >= 3x blocking under storm");
-    verdict.check(epoll.p99_us <= 1.10 * blocking.p99_us,
-                  "epoll p99 at 64 connections <= 1.10x blocking");
+  verdict.check(r.storm_open == storm_conns,
+                "sustained every storm connection");
+  verdict.check(r.hot_failures == 0, "hot phase fully ok");
+  if (!smoke) {
+    // The headline gates (docs/PERF.md).  Smoke mode records numbers but
+    // does not gate: CI smoke boxes are not the host the floors were set
+    // on.
+    verdict.check(r.hot_qps >= kHotQpsFloor,
+                  "hot qps under storm >= floor");
+    verdict.check(r.p99_us <= kP99CeilingUs,
+                  "p99 at 64 connections <= ceiling");
   }
   return verdict.exit_code();
 }

@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("io-threads", 0));
   server_options.offload_threads =
       static_cast<std::size_t>(cli.get_int("offload-threads", 0));
-  server_options.blocking_plane = cli.has("blocking-io");
   // No fast_handler: every line proxies to a backend (blocking network
   // I/O), so everything rides the offload pool.
   std::atomic<bool> drain_op{false};

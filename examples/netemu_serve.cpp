@@ -6,8 +6,7 @@
 //   $ netemu_serve --port 0            # ephemeral port, printed on stdout
 //   $ netemu_serve --fault-plan 'seed=7,drop=0.02,torn=0.3'   # chaos mode
 //   $ netemu_serve --no-journal        # skip the crash-recovery WAL
-//   $ netemu_serve --io-threads 4      # reactor shards (0 = hw threads)
-//   $ netemu_serve --blocking-io       # legacy thread-per-connection plane
+//   $ netemu_serve --io-threads 4      # epoll reactor shards (0 = hw threads)
 //   $ netemu_serve --guard             # overload guard (docs/GUARD.md)
 //
 // Stop with SIGINT/SIGTERM or a client {"op":"drain"} / {"op":"shutdown"}.
@@ -152,7 +151,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("io-threads", 0));
   server_options.offload_threads =
       static_cast<std::size_t>(cli.get_int("offload-threads", 0));
-  server_options.blocking_plane = cli.has("blocking-io");
   // Custom handler rather than the QueryExecutor convenience constructor so
   // a client {"op":"drain"} reaches the drain sequence below.  That skips
   // the constructor's automatic fast path, so install it explicitly: ping

@@ -1,4 +1,5 @@
-// The sharded epoll event loop behind Server (docs/SERVICE.md "I/O plane").
+// The sharded epoll event loop behind Server (docs/SERVICE.md "I/O plane"),
+// and the Server members that own it.
 //
 // Topology: one acceptor thread (blocking accept on the listener, so
 // begin_drain keeps its close-the-listener semantics) hands each new
@@ -19,11 +20,12 @@
 //   A connection whose un-flushed output exceeds max_output_bytes is a slow
 //   consumer and is disconnected (counted) instead of growing the heap.
 //
-// Fault injection (chaos tests) fires on every non-blocking read/write just
-// as the blocking LineChannel fired per syscall: kDrop closes the
-// connection, a clamped length makes a short read/write, injected sleeps
-// stall the shard — the blocking plane stalled the connection thread.
+// Fault injection (chaos tests) fires on every non-blocking read/write, as
+// the blocking LineChannel fires per syscall: kDrop closes the connection,
+// a clamped length makes a short read/write, injected sleeps stall the
+// shard.
 
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -32,12 +34,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <memory>
+#include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "netemu/faultline/injector.hpp"
 #include "netemu/scope/metrics.hpp"
@@ -46,7 +53,6 @@
 #include "netemu/util/thread_pool.hpp"
 
 namespace netemu {
-namespace detail {
 
 namespace {
 
@@ -77,17 +83,71 @@ double micros_since(SteadyClock::time_point start) {
       .count();
 }
 
-class EpollPlane final : public ServerPlane {
+/// Bind + listen on 127.0.0.1:options.port, resolve the actual port into
+/// *port.  Returns the listening fd, or -1 with *error / *errno_out
+/// describing the failing syscall.
+int listen_loopback(const Server::Options& options, std::uint16_t* port,
+                    std::string* error, int* errno_out) {
+  const auto fail = [&](int fd, const std::string& msg) {
+    if (errno_out) *errno_out = errno;
+    if (error) *error = msg + ": " + std::strerror(errno);
+    if (fd >= 0) ::close(fd);
+    return -1;
+  };
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return fail(fd, "socket");
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(options.port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    return fail(fd, "bind 127.0.0.1:" + std::to_string(options.port));
+  }
+  if (::listen(fd, options.backlog) < 0) return fail(fd, "listen");
+
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
+    return fail(fd, "getsockname");
+  }
+  *port = ntohs(addr.sin_port);
+  if (error) error->clear();
+  if (errno_out) *errno_out = 0;
+  return fd;
+}
+
+/// Peer tag for a connected socket: "ip:port" via getpeername, or
+/// "conn-<fd>" when the syscall fails.
+std::string peer_tag(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0 &&
+      addr.sin_family == AF_INET) {
+    char ip[INET_ADDRSTRLEN] = {};
+    if (::inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof(ip))) {
+      return std::string(ip) + ":" + std::to_string(ntohs(addr.sin_port));
+    }
+  }
+  return "conn-" + std::to_string(fd);
+}
+
+}  // namespace
+
+class Server::Reactor {
  public:
-  EpollPlane(Server::TaggedLineHandler handler, Server::Options options,
-             std::function<void()> on_shutdown_request)
-      : handler_(std::move(handler)),
-        options_(std::move(options)),
-        on_shutdown_request_(std::move(on_shutdown_request)) {}
+  /// The owning Server outlives its reactor; its handler and options are
+  /// fixed after construction.
+  explicit Reactor(Server& owner)
+      : owner_(owner), handler_(owner.handler_), options_(owner.options_) {}
 
-  ~EpollPlane() override { stop(); }
+  ~Reactor() { stop(); }
 
-  bool start(std::string* error, int* errno_out) override {
+  /// Bind + listen + spawn threads.  On failure: false, *error set (when
+  /// non-null), *errno_out = failing syscall's errno.
+  bool start(std::string* error, int* errno_out) {
     const int fd = listen_loopback(options_, &port_, error, errno_out);
     if (fd < 0) return false;
     listen_fd_.store(fd);
@@ -132,7 +192,6 @@ class EpollPlane final : public ServerPlane {
             : std::max<std::size_t>(8, 2 * std::thread::hardware_concurrency());
     offload_pool_ = std::make_unique<ThreadPool>(offload);
 
-    stopping_.store(false);
     for (auto& shard : shards_) {
       Shard* s = shard.get();
       s->thread = std::thread([this, s] { shard_loop(*s); });
@@ -141,9 +200,10 @@ class EpollPlane final : public ServerPlane {
     return true;
   }
 
-  std::uint16_t port() const override { return port_; }
+  std::uint16_t port() const { return port_; }
 
-  void begin_drain() override {
+  /// Close the listener only; live connections keep serving.  Idempotent.
+  void begin_drain() {
     const int fd = listen_fd_.exchange(-1);
     if (fd >= 0) {
       ::shutdown(fd, SHUT_RDWR);
@@ -151,7 +211,8 @@ class EpollPlane final : public ServerPlane {
     }
   }
 
-  void stop() override {
+  /// Full stop: close everything, join every thread.  Idempotent.
+  void stop() {
     if (stopping_.exchange(true)) return;
     begin_drain();  // close the listener; the acceptor exits
     if (accept_thread_.joinable()) accept_thread_.join();
@@ -379,8 +440,7 @@ class EpollPlane final : public ServerPlane {
     frame_lines(conn);
     if (conn.read_closed) {
       // Half-close: answer every complete pipelined request, then close.
-      // A partial trailing line is a torn request and gets no response
-      // (the blocking plane treated it as a transport error the same way).
+      // A partial trailing line is a torn request and gets no response.
       conn.in.clear();
       conn.close_after_flush = true;
     }
@@ -503,8 +563,8 @@ class EpollPlane final : public ServerPlane {
     Conn& conn = *it->second;
     conn.offload_in_flight = false;
     if (done.shutdown) {
-      // Mirror the blocking plane: deliver the shutdown ack, then close the
-      // connection and stop the server.
+      // Deliver the shutdown ack, then close the connection and stop the
+      // server.
       conn.shutdown_after_flush = true;
       conn.close_after_flush = true;
     }
@@ -570,7 +630,7 @@ class EpollPlane final : public ServerPlane {
     if (conn.shutdown_after_flush) {
       conn.shutdown_after_flush = false;
       close_conn(shard, fd);
-      on_shutdown_request_();
+      owner_.request_stop();
       return false;
     }
     if (conn.close_after_flush) {
@@ -588,9 +648,9 @@ class EpollPlane final : public ServerPlane {
     connections_gauge().add(-1.0);
   }
 
-  Server::TaggedLineHandler handler_;
-  Server::Options options_;
-  std::function<void()> on_shutdown_request_;
+  Server& owner_;
+  const Server::TaggedLineHandler& handler_;
+  const Server::Options& options_;
   std::atomic<int> listen_fd_{-1};
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{true};
@@ -599,14 +659,42 @@ class EpollPlane final : public ServerPlane {
   std::unique_ptr<ThreadPool> offload_pool_;
 };
 
-}  // namespace
+Server::Server(TaggedLineHandler handler, Options options)
+    : handler_(std::move(handler)), options_(std::move(options)) {}
 
-std::unique_ptr<ServerPlane> make_epoll_plane(
-    Server::TaggedLineHandler handler, Server::Options options,
-    std::function<void()> on_shutdown_request) {
-  return std::make_unique<EpollPlane>(std::move(handler), std::move(options),
-                                      std::move(on_shutdown_request));
+Server::~Server() { stop(); }
+
+bool Server::start(std::string* error) {
+  last_errno_ = 0;
+  {
+    std::lock_guard lock(mutex_);
+    stop_requested_ = false;
+    stopped_ = false;
+  }
+  reactor_ = std::make_unique<Reactor>(*this);
+  if (!reactor_->start(error, &last_errno_)) {
+    reactor_.reset();
+    std::lock_guard lock(mutex_);
+    stopped_ = true;
+    return false;
+  }
+  port_ = reactor_->port();
+  return true;
 }
 
-}  // namespace detail
+void Server::begin_drain() {
+  if (reactor_) reactor_->begin_drain();
+}
+
+void Server::stop() {
+  request_stop();
+  {
+    std::lock_guard lock(mutex_);
+    if (stopped_) return;
+    stopped_ = true;
+  }
+  if (reactor_) reactor_->stop();
+  stop_cv_.notify_all();
+}
+
 }  // namespace netemu

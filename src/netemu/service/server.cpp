@@ -1,227 +1,11 @@
 #include "netemu/service/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
 #include "netemu/service/protocol.hpp"
 
+// The reactor-owning members (the handler constructor, ~Server, start,
+// begin_drain, stop) live in event_loop.cpp next to Server::Reactor.
+
 namespace netemu {
-
-namespace detail {
-
-/// Shared by both planes: bind + listen on loopback, resolve the port.
-/// Returns the listening fd, or -1 with *error / *errno_out set.
-int listen_loopback(const Server::Options& options, std::uint16_t* port,
-                    std::string* error, int* errno_out) {
-  const auto fail = [&](int fd, const std::string& msg) {
-    if (errno_out) *errno_out = errno;
-    if (error) *error = msg + ": " + std::strerror(errno);
-    if (fd >= 0) ::close(fd);
-    return -1;
-  };
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return fail(fd, "socket");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    return fail(fd, "bind 127.0.0.1:" + std::to_string(options.port));
-  }
-  if (::listen(fd, options.backlog) < 0) return fail(fd, "listen");
-
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
-    return fail(fd, "getsockname");
-  }
-  *port = ntohs(addr.sin_port);
-  if (error) error->clear();
-  if (errno_out) *errno_out = 0;
-  return fd;
-}
-
-std::string peer_tag(int fd) {
-  sockaddr_in addr{};
-  socklen_t len = sizeof(addr);
-  if (::getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0 &&
-      addr.sin_family == AF_INET) {
-    char ip[INET_ADDRSTRLEN] = {};
-    if (::inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof(ip))) {
-      return std::string(ip) + ":" + std::to_string(ntohs(addr.sin_port));
-    }
-  }
-  return "conn-" + std::to_string(fd);
-}
-
-namespace {
-
-// -----------------------------------------------------------------------
-// Legacy blocking plane: one accept thread + one thread per connection.
-// Kept as the A/B baseline (bench/connection_storm) and as a fallback;
-// the default plane is the epoll event loop in event_loop.cpp.
-// -----------------------------------------------------------------------
-class BlockingPlane final : public ServerPlane {
- public:
-  BlockingPlane(Server::TaggedLineHandler handler, Server::Options options,
-                std::function<void()> on_shutdown_request)
-      : handler_(std::move(handler)),
-        options_(options),
-        on_shutdown_request_(std::move(on_shutdown_request)) {}
-
-  ~BlockingPlane() override { stop(); }
-
-  bool start(std::string* error, int* errno_out) override {
-    const int fd = listen_loopback(options_, &port_, error, errno_out);
-    if (fd < 0) return false;
-    listen_fd_ = fd;
-    {
-      std::lock_guard lock(mutex_);
-      stopping_ = false;
-    }
-    accept_thread_ = std::thread([this] { accept_loop(); });
-    return true;
-  }
-
-  std::uint16_t port() const override { return port_; }
-
-  void begin_drain() override {
-    std::lock_guard lock(mutex_);
-    // Same unblock trick as stop(), listener only: the accept thread wakes
-    // with a failing accept() and exits; stop() joins it later.
-    close_listener_locked();
-  }
-
-  void stop() override {
-    std::thread accept_thread;
-    std::vector<std::thread> connections;
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_) return;
-      stopping_ = true;
-      // Closing the listener unblocks accept(); shutting down the
-      // connection sockets unblocks their readers.
-      close_listener_locked();
-      for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-      accept_thread = std::move(accept_thread_);
-      connections = std::move(connections_);
-    }
-    if (accept_thread.joinable()) accept_thread.join();
-    for (auto& t : connections) {
-      if (t.joinable()) t.join();
-    }
-  }
-
- private:
-  void close_listener_locked() {
-    if (listen_fd_ >= 0) {
-      ::shutdown(listen_fd_, SHUT_RDWR);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-  }
-
-  void accept_loop() {
-    for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        // Listener closed (stop/drain) or fatal error: stop accepting.
-        return;
-      }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      std::lock_guard lock(mutex_);
-      if (stopping_) {
-        ::close(fd);
-        return;
-      }
-      open_fds_.push_back(fd);
-      try {
-        connections_.emplace_back([this, fd] { handle_connection(fd); });
-      } catch (const std::system_error&) {
-        // Out of threads (the plane's scaling limit, and exactly what the
-        // storm bench provokes): refuse this connection instead of
-        // terminating the process.
-        open_fds_.pop_back();
-        ::close(fd);
-      }
-    }
-  }
-
-  void handle_connection(int fd) {
-    LineChannel channel(fd);
-    channel.set_fault_injector(options_.faults);
-    const std::string peer = peer_tag(fd);
-    std::string line;
-    bool shutdown_requested = false;
-    while (!shutdown_requested) {
-      const LineChannel::Status status =
-          channel.read_line_status(line, options_.max_line);
-      if (status == LineChannel::Status::kEof ||
-          status == LineChannel::Status::kError) {
-        break;
-      }
-      std::string response;
-      if (status == LineChannel::Status::kTooLong) {
-        // The oversized line was discarded up to its newline; answer with a
-        // protocol error and keep the connection usable.
-        response = protocol_error_line(
-            "request line exceeds " + std::to_string(options_.max_line) +
-            " bytes");
-      } else {
-        response = handler_(line, peer, &shutdown_requested);
-      }
-      if (!channel.write_line(response)) break;
-    }
-    {
-      std::lock_guard lock(mutex_);
-      for (auto it = open_fds_.begin(); it != open_fds_.end(); ++it) {
-        if (*it == fd) {
-          open_fds_.erase(it);
-          ::close(fd);
-          break;
-        }
-      }
-    }
-    if (shutdown_requested) on_shutdown_request_();
-  }
-
-  Server::TaggedLineHandler handler_;
-  Server::Options options_;
-  std::function<void()> on_shutdown_request_;
-  // Atomic: the accept thread reads it while stop() closes and resets it.
-  std::atomic<int> listen_fd_{-1};
-  std::uint16_t port_ = 0;
-
-  mutable std::mutex mutex_;
-  bool stopping_ = true;
-  std::thread accept_thread_;
-  std::vector<std::thread> connections_;
-  std::vector<int> open_fds_;
-};
-
-}  // namespace
-
-std::unique_ptr<ServerPlane> make_blocking_plane(
-    Server::TaggedLineHandler handler, Server::Options options,
-    std::function<void()> on_shutdown_request) {
-  return std::make_unique<BlockingPlane>(std::move(handler), options,
-                                         std::move(on_shutdown_request));
-}
-
-}  // namespace detail
-
-Server::Server(QueryExecutor& executor) : Server(executor, Options()) {}
 
 Server::Server(QueryExecutor& executor, Options options)
     : Server(
@@ -244,44 +28,6 @@ Server::Server(QueryExecutor& executor, Options options)
             return options;
           }()) {}
 
-Server::Server(LineHandler handler, Options options)
-    : Server(
-          TaggedLineHandler([handler = std::move(handler)](
-                                const std::string& line,
-                                const std::string& /*peer*/,
-                                bool* shutdown_requested) {
-            return handler(line, shutdown_requested);
-          }),
-          std::move(options)) {}
-
-Server::Server(TaggedLineHandler handler, Options options)
-    : handler_(std::move(handler)), options_(std::move(options)) {}
-
-Server::~Server() { stop(); }
-
-bool Server::start(std::string* error) {
-  last_errno_ = 0;
-  {
-    std::lock_guard lock(mutex_);
-    stop_requested_ = false;
-    stopped_ = false;
-  }
-  auto on_shutdown = [this] { request_stop(); };
-  plane_ = options_.blocking_plane
-               ? detail::make_blocking_plane(handler_, options_,
-                                             std::move(on_shutdown))
-               : detail::make_epoll_plane(handler_, options_,
-                                          std::move(on_shutdown));
-  if (!plane_->start(error, &last_errno_)) {
-    plane_.reset();
-    std::lock_guard lock(mutex_);
-    stopped_ = true;
-    return false;
-  }
-  port_ = plane_->port();
-  return true;
-}
-
 void Server::request_stop() {
   {
     std::lock_guard lock(mutex_);
@@ -291,27 +37,12 @@ void Server::request_stop() {
   stop_cv_.notify_all();
 }
 
-void Server::begin_drain() {
-  if (plane_) plane_->begin_drain();
-}
-
 void Server::wait() {
   {
     std::unique_lock lock(mutex_);
     stop_cv_.wait(lock, [this] { return stop_requested_ || stopped_; });
   }
   stop();
-}
-
-void Server::stop() {
-  request_stop();
-  {
-    std::lock_guard lock(mutex_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  if (plane_) plane_->stop();
-  stop_cv_.notify_all();
 }
 
 bool Server::running() const {

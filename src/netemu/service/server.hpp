@@ -1,34 +1,29 @@
 #pragma once
 // The planner daemon: a localhost TCP listener speaking the line protocol.
 //
-// The listener is decoupled from what answers the lines: a Server runs any
-// LineHandler — the classic one wraps a QueryExecutor (handle_request_line),
-// the fleet front door wraps a FleetRouter that proxies to real backends.
+// The listener is decoupled from what answers the lines: a Server runs a
+// TaggedLineHandler — the executor constructor wraps a QueryExecutor
+// (handle_request_line), the daemons and the fleet front door pass their
+// own (drain op, proxying to real backends).
 //
-// Two I/O planes share that contract (docs/SERVICE.md "I/O plane"):
+// The I/O plane is a sharded epoll event loop (event_loop.cpp,
+// docs/SERVICE.md "I/O plane"): one acceptor distributes non-blocking
+// connections round-robin across `io_threads` reactor shards; each shard
+// owns its fds with edge-triggered epoll, frames request lines
+// incrementally from per-connection buffers, serves `fast_handler` answers
+// (ping, cache hits) inline on the reactor, and offloads everything else to
+// a bounded handler pool whose completions are posted back to the owning
+// shard through an eventfd.  Responses are coalesced into a per-connection
+// output buffer bounded by `max_output_bytes` — a consumer that falls
+// further behind than that is disconnected instead of growing the heap.
+// Thousands of mostly-idle connections cost two buffers each, not a kernel
+// thread each.
 //
-//  * The default sharded epoll event loop: one acceptor distributes
-//    non-blocking connections round-robin across `io_threads` reactor
-//    shards; each shard owns its fds with edge-triggered epoll, frames
-//    request lines incrementally from per-connection buffers, serves
-//    `fast_handler` answers (ping, cache hits) inline on the reactor, and
-//    offloads everything else to a bounded handler pool whose completions
-//    are posted back to the owning shard through an eventfd.  Responses are
-//    coalesced into a per-connection output buffer bounded by
-//    `max_output_bytes` — a consumer that falls further behind than that is
-//    disconnected instead of growing the heap.  Thousands of mostly-idle
-//    connections cost two buffers each, not a kernel thread each.
-//
-//  * The legacy blocking plane (`blocking_plane = true`): one thread per
-//    connection.  Kept as the A/B baseline for bench/connection_storm and
-//    as a fallback.
-//
-// Lifecycle is identical on both planes: start() binds and spawns,
-// begin_drain() closes only the listener (live connections still get their
-// responses), stop() shuts everything down and joins, and a handler that
-// sets *shutdown_requested stops the server after its response flushes.
+// Lifecycle: start() binds and spawns, begin_drain() closes only the
+// listener (live connections still get their responses), stop() shuts
+// everything down and joins, and a handler that sets *shutdown_requested
+// stops the server after its response flushes.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -36,8 +31,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "netemu/service/executor.hpp"
 
@@ -45,37 +38,14 @@ namespace netemu {
 
 class FaultInjector;
 
-namespace detail {
-
-/// One I/O plane implementation behind a Server.  Internal; the Server owns
-/// the lifecycle state (stop flag, wait()) and delegates the sockets.
-class ServerPlane {
- public:
-  virtual ~ServerPlane() = default;
-  /// Bind + listen + spawn threads.  On failure: false, *error set (when
-  /// non-null), *errno_out = failing syscall's errno.
-  virtual bool start(std::string* error, int* errno_out) = 0;
-  virtual std::uint16_t port() const = 0;
-  /// Close the listener only; live connections keep serving.  Idempotent.
-  virtual void begin_drain() = 0;
-  /// Full stop: close everything, join every thread.  Idempotent.
-  virtual void stop() = 0;
-};
-
-}  // namespace detail
-
 class Server {
  public:
   /// Answer one request line (no trailing newline) with one response line;
-  /// set *shutdown_requested to stop the server after the response.
-  using LineHandler =
-      std::function<std::string(const std::string& line,
-                                bool* shutdown_requested)>;
-
-  /// LineHandler plus the connection's peer tag ("ip:port" from
-  /// getpeername, "conn-<fd>" when that fails) — a stable per-connection
-  /// identity handlers stamp onto queries that carry no "client" field, so
-  /// guard fairness can tell callers apart without client cooperation.
+  /// set *shutdown_requested to stop the server after the response.  `peer`
+  /// is the connection's tag ("ip:port" from getpeername, "conn-<fd>" when
+  /// that fails) — a stable per-connection identity handlers stamp onto
+  /// queries that carry no "client" field, so guard fairness can tell
+  /// callers apart without client cooperation.
   using TaggedLineHandler =
       std::function<std::string(const std::string& line,
                                 const std::string& peer,
@@ -83,10 +53,9 @@ class Server {
 
   /// Optional non-blocking fast path run inline on a reactor shard: return
   /// the response line to answer immediately, nullopt to fall through to
-  /// the LineHandler on the offload pool.  MUST NOT block (no locks held
+  /// the handler on the offload pool.  MUST NOT block (no locks held
   /// across compute, no I/O) — a stalled shard stalls every connection it
-  /// owns.  Ignored by the blocking plane (the LineHandler thread is
-  /// already allowed to block there).
+  /// owns.
   using FastHandler =
       std::function<std::optional<std::string>(const std::string& line)>;
 
@@ -97,10 +66,10 @@ class Server {
     /// Fault injector applied to every connection's socket I/O (chaos
     /// testing).  Not owned; must outlive the server.  nullptr disables.
     FaultInjector* faults = nullptr;
-    /// Reactor shards for the epoll plane; 0 = hardware threads.
+    /// Reactor shards; 0 = hardware threads.
     std::size_t io_threads = 0;
-    /// Threads running the LineHandler for requests the fast path did not
-    /// answer; 0 = max(4, hardware threads).  The handler underneath
+    /// Threads running the handler for requests the fast path did not
+    /// answer; 0 = max(8, 2 x hardware threads).  The handler underneath
     /// (executor admission queue, fleet backends) bounds real concurrency.
     std::size_t offload_threads = 0;
     /// Per-connection pending-output cap; a consumer further behind than
@@ -108,24 +77,19 @@ class Server {
     std::size_t max_output_bytes = 8u << 20;
     /// Reactor-inline fast path (see FastHandler).
     FastHandler fast_handler;
-    /// Use the legacy thread-per-connection plane instead of the epoll
-    /// event loop (A/B baseline; bench/connection_storm measures both).
-    bool blocking_plane = false;
   };
 
-  explicit Server(QueryExecutor& executor);  // all-default Options
+  /// Serve a QueryExecutor; installs the protocol fast path (ping, cache
+  /// hits inline on the reactor) unless options.fast_handler is set.
   Server(QueryExecutor& executor, Options options);
-  /// Serve an arbitrary handler (the fleet front door's constructor).
-  Server(LineHandler handler, Options options);
-  /// Serve a peer-aware handler (guard-enabled daemons, the front door's
-  /// per-connection client stamping).
+  /// Serve an arbitrary handler (the daemons, the fleet front door).
   Server(TaggedLineHandler handler, Options options);
   ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, and spawn the I/O plane.  False + *error on failure;
+  /// Bind, listen, and spawn the reactor.  False + *error on failure;
   /// last_errno() then holds the failing syscall's errno so callers can
   /// print actionable messages (EADDRINUSE: port taken).
   bool start(std::string* error = nullptr);
@@ -152,11 +116,13 @@ class Server {
   bool running() const;
 
  private:
+  class Reactor;  // event_loop.cpp: sockets, shards, offload pool
+
   void request_stop();
 
-  TaggedLineHandler handler_;  // plain LineHandlers are wrapped, peer unused
+  TaggedLineHandler handler_;
   Options options_;
-  std::unique_ptr<detail::ServerPlane> plane_;
+  std::unique_ptr<Reactor> reactor_;
   std::uint16_t port_ = 0;
   int last_errno_ = 0;
 
@@ -165,30 +131,5 @@ class Server {
   bool stop_requested_ = false;
   bool stopped_ = true;
 };
-
-namespace detail {
-
-/// The sharded epoll event loop (event_loop.cpp).  `on_shutdown_request`
-/// is invoked (once) when a handler asked the server to stop.
-std::unique_ptr<ServerPlane> make_epoll_plane(
-    Server::TaggedLineHandler handler, Server::Options options,
-    std::function<void()> on_shutdown_request);
-
-/// The legacy thread-per-connection plane (server.cpp).
-std::unique_ptr<ServerPlane> make_blocking_plane(
-    Server::TaggedLineHandler handler, Server::Options options,
-    std::function<void()> on_shutdown_request);
-
-/// Peer tag for a connected socket: "ip:port" via getpeername, or
-/// "conn-<fd>" when the syscall fails (pipes in tests, torn sockets).
-std::string peer_tag(int fd);
-
-/// Shared by both planes: bind + listen on 127.0.0.1:options.port, resolve
-/// the actual port into *port.  Returns the listening fd, or -1 with
-/// *error / *errno_out describing the failing syscall.
-int listen_loopback(const Server::Options& options, std::uint16_t* port,
-                    std::string* error, int* errno_out);
-
-}  // namespace detail
 
 }  // namespace netemu

@@ -357,7 +357,9 @@ TEST(ClientBudget, RetriesDrawFromOneDeadlineBudget) {
   // failure, so an unbudgeted client would burn the whole retry schedule.
   Server::Options so;
   so.port = 0;
-  Server garbage([](const std::string&, bool*) { return "not json"; }, so);
+  Server garbage(
+      [](const std::string&, const std::string&, bool*) { return "not json"; },
+      so);
   std::string error;
   ASSERT_TRUE(garbage.start(&error)) << error;
 

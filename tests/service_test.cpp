@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -944,11 +945,65 @@ TEST(ServerFraming, HalfCloseMidRequestGetsNoAnswer) {
   RawConn conn(s.server->port());
   ASSERT_TRUE(conn.ok());
 
-  // A torn request (no newline) then EOF: same semantics as the blocking
-  // plane's LineChannel — the tail is dropped, no response, clean close.
+  // A torn request (no newline) then EOF: same semantics as LineChannel —
+  // the tail is dropped, no response, clean close.
   ASSERT_TRUE(conn.send_all(R"({"op":"estimate","family":"Butter)"));
   conn.shutdown_write();
   EXPECT_TRUE(conn.read_eof());
+}
+
+// ------------------------------------------------- lifecycle, binding --
+
+TEST(Server, DrainRefusesNewConnectionsButServesOpenOnes) {
+  EchoServer s;
+  ASSERT_TRUE(s.started);
+  const std::uint16_t port = s.server->port();
+  RawConn open(port);
+  ASSERT_TRUE(open.ok());
+  ASSERT_TRUE(open.send_all("{\"op\":\"ping\"}\n"));
+  ASSERT_TRUE(Json::parse(open.read_line())["ok"].as_bool());
+
+  s.server->begin_drain();
+  // The listener is closed synchronously: a new connect is refused.
+  RawConn late(port);
+  EXPECT_FALSE(late.ok());
+
+  // Requests sent on the connection opened before the drain are still
+  // answered — a compute miss (offload pool) and a fast-path ping, in
+  // order.
+  ASSERT_TRUE(open.send_all(
+      R"({"op":"estimate","family":"Butterfly","n":256})" "\n"
+      R"({"op":"ping"})" "\n"));
+  const Json computed = Json::parse(open.read_line());
+  EXPECT_TRUE(computed["ok"].as_bool());
+  EXPECT_EQ(computed["result"]["n"].as_int(), 256);
+  EXPECT_TRUE(Json::parse(open.read_line())["result"]["pong"].as_bool());
+
+  s.server->stop();
+  EXPECT_FALSE(s.server->running());
+  EXPECT_TRUE(open.read_eof());
+}
+
+TEST(Server, StartOnTakenPortFailsWithEaddrinuse) {
+  EchoServer first;
+  ASSERT_TRUE(first.started);
+  const std::uint16_t port = first.server->port();
+
+  Server::Options options;
+  options.port = port;
+  Server second(*first.executor, options);
+  std::string error;
+  EXPECT_FALSE(second.start(&error));
+  EXPECT_EQ(second.last_errno(), EADDRINUSE);
+  // netemu_serve prints this error and its port hint verbatim.
+  EXPECT_NE(error.find(std::to_string(port)), std::string::npos) << error;
+  EXPECT_FALSE(second.running());
+
+  // The failed bind left the first server untouched.
+  RawConn conn(port);
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.send_all("{\"op\":\"ping\"}\n"));
+  EXPECT_TRUE(Json::parse(conn.read_line())["result"]["pong"].as_bool());
 }
 
 // ---------------------------------------------------- connection churn --
