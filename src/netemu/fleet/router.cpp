@@ -47,22 +47,14 @@ scope::Counter& cancels_fired_counter() {
   return c;
 }
 
-}  // namespace
+// Fixed tuning (no deployment has needed to set these).
+constexpr std::size_t kHedgeMinSamples = 16;      // adaptive hedging off below
+constexpr std::uint64_t kHedgeMinDelayMs = 2;     // clamp on the adaptive
+constexpr std::uint64_t kHedgeMaxDelayMs = 1000;  //   hedge deadline
+constexpr std::size_t kLatencyWindow = 256;       // samples for the percentile
+constexpr std::size_t kPoolPerBackend = 8;        // idle connections kept
 
-// Shared scoreboard for one hedged request: the primary and (maybe) hedge
-// attempt threads race to deposit the first real answer.  Heap-allocated and
-// shared_ptr-owned because the losing thread can outlive request().
-struct FleetRouter::HedgeState {
-  std::mutex m;
-  std::condition_variable cv;
-  int outstanding = 0;
-  bool have_winner = false;
-  std::size_t winner_index = 0;
-  Attempt winner;
-  bool have_loser = false;  ///< best non-winning attempt (sheds preferred)
-  std::size_t loser_index = 0;
-  Attempt loser;
-};
+}  // namespace
 
 FleetRouter::FleetRouter(Options options)
     : options_(std::move(options)),
@@ -70,7 +62,6 @@ FleetRouter::FleetRouter(Options options)
   // Sheds must surface to the router (which fails them over) instead of
   // being absorbed by the client's own retry_after sleep.
   options_.client.retry_overloaded = false;
-  options_.latency_window = std::max<std::size_t>(1, options_.latency_window);
   for (auto& cfg : options_.backends) {
     if (cfg.id.empty()) cfg.id = "127.0.0.1:" + std::to_string(cfg.port);
     auto b = std::make_unique<Backend>();
@@ -93,8 +84,7 @@ void FleetRouter::stop() {
   }
   probe_cv_.notify_all();
   if (probe_thread_.joinable()) probe_thread_.join();
-  std::unique_lock<std::mutex> lock(mutex_);
-  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
+  inflight_.stop();
 }
 
 std::uint64_t FleetRouter::now_ms() const {
@@ -121,8 +111,10 @@ std::vector<FleetRouter::BroadcastReply> FleetRouter::broadcast(
     const Json& request_doc) {
   std::vector<BroadcastReply> replies;
   for (std::size_t i = 0; i < backends_.size(); ++i) {
-    Attempt a = attempt(i, request_doc);
-    if (a.responded) replies.push_back(BroadcastReply{i, std::move(a.doc)});
+    HedgeOutcome a = attempt(i, request_doc);
+    if (a.grade != HedgeGrade::kFailed) {
+      replies.push_back(BroadcastReply{i, std::move(a.doc)});
+    }
   }
   return replies;
 }
@@ -143,8 +135,8 @@ std::optional<std::size_t> FleetRouter::next_allowed(
   return std::nullopt;
 }
 
-FleetRouter::Attempt FleetRouter::attempt(std::size_t index,
-                                          const Json& request_doc) {
+HedgeOutcome FleetRouter::attempt(std::size_t index,
+                                  const Json& request_doc) {
   std::unique_ptr<Client> client;
   std::uint16_t port = 0;
   {
@@ -163,44 +155,32 @@ FleetRouter::Attempt FleetRouter::attempt(std::size_t index,
   }
 
   Client::RequestOutcome outcome = client->request_outcome(request_doc);
-
-  Attempt a;
+  HedgeOutcome a;
+  a.backend = index;
+  std::lock_guard<std::mutex> lock(mutex_);
+  Backend& b = *backends_[index];
+  const std::uint64_t now = now_ms();
   if (outcome.doc) {
-    a.responded = true;
-    a.shed = outcome.failure == RequestFailure::kOverloaded;
-    a.doc = std::move(*outcome.doc);
-  } else {
-    a.failure = outcome.failure;
-    a.error = outcome.error;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Backend& b = *backends_[index];
-    record_attempt_locked(b, a, now_ms(), doc_trace_id(request_doc));
-    if (client->connected() && !stopping_ &&
-        b.idle.size() < options_.pool_per_backend) {
-      b.idle.push_back(std::move(client));
-    }
-  }
-  return a;
-}
-
-void FleetRouter::record_attempt_locked(Backend& b, const Attempt& a,
-                                        std::uint64_t now,
-                                        std::uint64_t trace_id) {
-  if (a.responded) {
+    const bool shed = outcome.failure == RequestFailure::kOverloaded;
     ++b.responses;
-    if (a.shed) ++b.shed;
+    if (shed) ++b.shed;
     // Any document — even a shed or a server-side error — proves the
     // transport and the process are alive.
     b.health.record_success(now);
+    a.grade = shed ? HedgeGrade::kShed : HedgeGrade::kAnswer;
+    a.doc = std::move(*outcome.doc);
   } else {
     ++b.transport_failures;
-    if (a.failure == RequestFailure::kConnectRefused) ++b.refused;
+    if (outcome.failure == RequestFailure::kConnectRefused) ++b.refused;
     b.health.record_failure(now);
+    a.error = outcome.error.empty() ? request_failure_name(outcome.failure)
+                                    : outcome.error;
   }
-  note_breaker_locked(b, now, trace_id);
+  note_breaker_locked(b, now, doc_trace_id(request_doc));
+  if (client->connected() && !stopping_ && b.idle.size() < kPoolPerBackend) {
+    b.idle.push_back(std::move(client));
+  }
+  return a;
 }
 
 void FleetRouter::note_breaker_locked(Backend& b, std::uint64_t now,
@@ -222,7 +202,7 @@ std::optional<std::uint64_t> FleetRouter::hedge_delay_ms() const {
   std::vector<double> window;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (latency_ms_.size() < options_.hedge_min_samples) return std::nullopt;
+    if (latency_ms_.size() < kHedgeMinSamples) return std::nullopt;
     window = latency_ms_;
   }
   std::size_t rank = static_cast<std::size_t>(
@@ -231,92 +211,39 @@ std::optional<std::uint64_t> FleetRouter::hedge_delay_ms() const {
   std::nth_element(window.begin(), window.begin() + static_cast<long>(rank),
                    window.end());
   const auto delay = static_cast<std::uint64_t>(std::ceil(window[rank]));
-  return std::clamp(delay, options_.hedge_min_delay_ms,
-                    options_.hedge_max_delay_ms);
+  return std::clamp(delay, kHedgeMinDelayMs, kHedgeMaxDelayMs);
 }
 
 void FleetRouter::record_latency(double ms) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (latency_ms_.size() < options_.latency_window) {
+  if (latency_ms_.size() < kLatencyWindow) {
     latency_ms_.push_back(ms);
   } else {
     latency_ms_[latency_next_] = ms;
   }
-  latency_next_ = (latency_next_ + 1) % options_.latency_window;
+  latency_next_ = (latency_next_ + 1) % kLatencyWindow;
 }
 
-void FleetRouter::fire_cancel(std::size_t index, std::uint64_t trace_id) {
-  Json cancel = Json::object();
-  cancel["op"] = "cancel";
-  cancel["trace"] = hex64(trace_id);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    ++inflight_;
-    ++cancels_fired_;
-  }
-  cancels_fired_counter().inc();
-  scope::FlightRecorder::global().record(
-      scope::FlightRecorder::Kind::kHedge, trace_id,
-      "cancel fired at loser " + ids_[index]);
-  // Detached and best-effort: the winner's answer is already on its way
-  // back, so nothing waits on this.  If the loser's query never started (or
-  // already finished) the backend just answers {"cancelled":false}.
-  std::thread([this, index, cancel] {
-    attempt(index, cancel);
-    std::lock_guard<std::mutex> lock(mutex_);
-    --inflight_;
-    inflight_cv_.notify_all();
-  }).detach();
-}
-
-void FleetRouter::spawn_attempt(std::size_t index, const Json& request_doc,
-                                std::shared_ptr<HedgeState> state) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++inflight_;
-  }
-  {
-    std::lock_guard<std::mutex> sl(state->m);
-    ++state->outstanding;
-  }
-  std::thread([this, index, request_doc, state] {
-    Attempt a = attempt(index, request_doc);
+std::shared_ptr<HedgeRace> FleetRouter::make_race(HedgeRace::OnLand on_land) {
+  const auto cancel = [this](std::size_t index, std::uint64_t trace_id) {
+    if (index >= backends_.size() || trace_id == 0) return;
+    Json verb = Json::object();
+    verb["op"] = "cancel";
+    verb["trace"] = hex64(trace_id);
+    // Detached and best-effort: the winner's answer is already on its way
+    // back, so nothing waits on this.  If the loser's query never started
+    // (or already finished) the backend just answers {"cancelled":false}.
+    if (!inflight_.spawn([this, index, verb] { attempt(index, verb); })) return;
     {
-      std::lock_guard<std::mutex> sl(state->m);
-      --state->outstanding;
-      if (a.responded && !a.shed && !state->have_winner) {
-        state->have_winner = true;
-        state->winner_index = index;
-        state->winner = std::move(a);
-      } else if (!state->have_winner &&
-                 (!state->have_loser ||
-                  (a.responded && !state->loser.responded))) {
-        // Keep the most informative non-answer: a shed document beats a
-        // bare transport error (it carries the backend's retry hint).
-        state->have_loser = true;
-        state->loser_index = index;
-        state->loser = std::move(a);
-      }
-    }
-    state->cv.notify_all();
-    {
-      // Notify under the lock: stop() may be waiting to destroy the
-      // router, and must not win the race while we are mid-notify.
       std::lock_guard<std::mutex> lock(mutex_);
-      --inflight_;
-      inflight_cv_.notify_all();
+      ++cancels_fired_;
     }
-  }).detach();
-}
-
-FleetRouter::Result FleetRouter::request(const Json& request_doc) {
-  return request(request_doc, std::nullopt);
-}
-
-void FleetRouter::cancel_at(std::size_t index, std::uint64_t trace_id) {
-  if (index >= backends_.size() || trace_id == 0) return;
-  fire_cancel(index, trace_id);
+    cancels_fired_counter().inc();
+    scope::FlightRecorder::global().record(
+        scope::FlightRecorder::Kind::kHedge, trace_id,
+        "cancel fired at loser " + ids_[index]);
+  };
+  return std::make_shared<HedgeRace>(inflight_, cancel, std::move(on_land));
 }
 
 std::size_t FleetRouter::available_backends() const {
@@ -374,21 +301,20 @@ FleetRouter::Result FleetRouter::request(
 
   Result out;
   std::string last_error;
-  Attempt last_shed;  // returned if every candidate sheds
-  std::size_t last_shed_backend = static_cast<std::size_t>(-1);
+  HedgeOutcome last_shed;  // returned if every candidate sheds
   std::size_t pos = 0;
 
-  const auto finish_answered = [&](Attempt&& a, std::size_t responder) {
+  const auto finish_answered = [&](HedgeOutcome&& a) {
     out.ok = true;
     out.doc = std::move(a.doc);
-    out.backend = responder;
-    route_span.set_note("backend=" + ids_[responder] + " tried=" +
+    out.backend = a.backend;
+    route_span.set_note("backend=" + ids_[a.backend] + " tried=" +
                         std::to_string(out.backends_tried));
     const double elapsed_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
-    if (!a.shed) record_latency(elapsed_ms);
+    if (a.grade == HedgeGrade::kAnswer) record_latency(elapsed_ms);
     std::lock_guard<std::mutex> lock(mutex_);
     ++answered_;
     if (out.backends_tried > 1) {
@@ -406,34 +332,22 @@ FleetRouter::Result FleetRouter::request(
     ++out.backends_tried;
 
     const std::optional<std::uint64_t> delay = hedge_delay_ms();
-    Attempt a;
-    std::size_t responder = *primary;
-
+    HedgeOutcome a;
     if (delay) {
       // Hedging wants a trace id even for untraced callers: the cancel verb
-      // that reclaims the losing backend's compute is keyed by it.  Json
-      // copies share structure, so mint onto a shallow rebuild instead of
-      // mutating a copy of the caller's document.
-      Json hedge_doc = request_doc;
-      std::uint64_t hedge_tid = tid;
-      if (hedge_tid == 0) {
-        hedge_tid = scope::mint_trace_id();
-        hedge_doc = Json::object();
-        for (const auto& [k, v] : request_doc.fields()) hedge_doc[k] = v;
-        hedge_doc["trace"] = hex64(hedge_tid);
-      }
-      auto state = std::make_shared<HedgeState>();
-      spawn_attempt(*primary, hedge_doc, state);
-      std::size_t hedge_index = static_cast<std::size_t>(-1);
+      // that reclaims the losing backend's compute is keyed by it.
+      const std::uint64_t hedge_tid = tid != 0 ? tid : scope::mint_trace_id();
+      const Json hedge_doc =
+          tid != 0 ? request_doc
+                   : attempt_doc(request_doc, {{"trace", hex64(hedge_tid)}});
+      const auto at = [this, &hedge_doc](std::size_t index) {
+        return [this, index, doc = hedge_doc] { return attempt(index, doc); };
+      };
+      const std::shared_ptr<HedgeRace> race = make_race();
+      race->launch(*primary, hedge_tid, at(*primary));
       std::uint64_t hedge_fired_us = 0;
-      bool loser_running = false;
-      std::unique_lock<std::mutex> sl(state->m);
-      state->cv.wait_for(sl, std::chrono::milliseconds(*delay), [&] {
-        return state->have_winner || state->outstanding == 0;
-      });
-      if (!state->have_winner && state->outstanding > 0) {
+      if (!race->wait_for(std::chrono::milliseconds(*delay))) {
         // Primary is slow: fire the hedge at the next allowed choice.
-        sl.unlock();
         std::optional<std::size_t> secondary;
         {
           std::lock_guard<std::mutex> lock(mutex_);
@@ -441,7 +355,6 @@ FleetRouter::Result FleetRouter::request(
           if (secondary) ++hedges_fired_;
         }
         if (secondary) {
-          hedge_index = *secondary;
           out.hedged = true;
           ++out.backends_tried;
           hedge_fired_us = scope::now_us();
@@ -451,74 +364,51 @@ FleetRouter::Result FleetRouter::request(
               "fired at " + ids_[*secondary] + " (primary " +
                   ids_[*primary] + " slower than " +
                   std::to_string(*delay) + " ms)");
-          spawn_attempt(*secondary, hedge_doc, state);
+          race->launch(*secondary, hedge_tid, at(*secondary));
         }
-        sl.lock();
       }
-      state->cv.wait(sl, [&] {
-        return state->have_winner || state->outstanding == 0;
-      });
-      if (state->have_winner) {
-        a = std::move(state->winner);
-        responder = state->winner_index;
-        // The other attempt may still be grinding through its query on the
-        // losing backend — remember that while we hold the scoreboard lock.
-        loser_running = state->outstanding > 0;
-        if (responder == hedge_index) {
-          out.hedge_won = true;
-          hedges_won_counter().inc();
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++hedges_won_;
-        }
-      } else if (state->have_loser) {
-        a = std::move(state->loser);
-        responder = state->loser_index;
+      HedgeRace::Result settled = race->take();
+      a = std::move(settled.outcome);
+      out.hedge_won = settled.winner == 1u;  // slot 1: the hedge
+      out.cancel_fired = settled.cancel_fired;
+      if (out.hedge_won) {
+        hedges_won_counter().inc();
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++hedges_won_;
       }
       if (out.hedged) {
         const char* outcome = out.hedge_won ? "won" : "lost";
         scope::FlightRecorder::global().record(
             scope::FlightRecorder::Kind::kHedge, tid,
             std::string(outcome) + " (responder " +
-                (responder < ids_.size() ? ids_[responder] : "none") + ")");
+                (a.backend < ids_.size() ? ids_[a.backend] : "none") + ")");
         if (tid != 0) {
           scope::TraceStore::global().add(
               tid, scope::Span{"fleet.hedge", hedge_fired_us,
                                scope::now_us() - hedge_fired_us, outcome});
         }
       }
-      sl.unlock();
-      if (out.hedged && loser_running) {
-        // A winner answered while the other attempt is still in flight: tell
-        // the losing backend to stop computing an answer nobody will read.
-        const std::size_t loser =
-            responder == hedge_index ? *primary : hedge_index;
-        fire_cancel(loser, hedge_tid);
-        out.cancel_fired = true;
-      }
     } else {
       a = attempt(*primary, request_doc);
     }
 
-    if (a.responded && !a.shed) {
-      finish_answered(std::move(a), responder);
+    if (a.grade == HedgeGrade::kAnswer) {
+      finish_answered(std::move(a));
       return out;
     }
-    if (a.responded) {
+    if (a.grade == HedgeGrade::kShed) {
       last_shed = std::move(a);
-      last_shed_backend = responder;
       last_error = "all candidates shed";
-    } else if (!a.error.empty()) {
-      last_error = ids_[responder] + ": " + a.error;
     } else {
-      last_error = ids_[responder] + ": " + request_failure_name(a.failure);
+      last_error = ids_[a.backend] + ": " + a.error;
     }
     // Transport failure or shed: fail over to the next rendezvous choice.
   }
 
-  if (last_shed.responded) {
+  if (last_shed.grade == HedgeGrade::kShed) {
     // Every live candidate shed: surface the shed document (it carries the
     // backend's retry_after hint) rather than inventing an error.
-    finish_answered(std::move(last_shed), last_shed_backend);
+    finish_answered(std::move(last_shed));
     return out;
   }
 
@@ -571,8 +461,8 @@ void FleetRouter::probe_loop() {
     // router's prefer-lower-pressure ordering.
     std::vector<std::pair<std::size_t, double>> pressures;
     for (std::size_t i : targets) {
-      Attempt a = attempt(i, probe);
-      if (a.responded && a.doc["ok"].as_bool()) {
+      const HedgeOutcome a = attempt(i, probe);
+      if (a.doc["ok"].as_bool()) {
         const Json& p = a.doc["result"]["pressure"];
         if (p.is_number()) pressures.emplace_back(i, p.as_number());
       }

@@ -16,7 +16,7 @@
 //     │            op is idempotent (content-addressed results)
 //     └─ hedging (optional): if the primary has not answered by the hedge
 //        deadline (fixed, or an observed latency percentile), fire the same
-//        request at the next choice and take the first answer — tail
+//        request at the next choice; first answer wins (hedge.hpp) — tail
 //        latency from one slow/stalled backend stops being the fleet's tail
 //
 // A background probe thread keeps health fresh: it sends {"op":"health"} to
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "netemu/fleet/health.hpp"
+#include "netemu/fleet/hedge.hpp"
 #include "netemu/service/client.hpp"
 #include "netemu/util/json.hpp"
 
@@ -66,14 +67,6 @@ class FleetRouter {
     /// Fixed hedge deadline; 0 = adaptive (latency percentile below).
     std::uint64_t hedge_fixed_ms = 0;
     double hedge_percentile = 0.95;
-    std::uint64_t hedge_min_delay_ms = 2;
-    std::uint64_t hedge_max_delay_ms = 1000;
-    /// Adaptive hedging stays off until this many latency samples exist.
-    std::size_t hedge_min_samples = 16;
-    /// Ring of recent request latencies feeding the percentile.
-    std::size_t latency_window = 256;
-    /// Idle persistent connections kept per backend.
-    std::size_t pool_per_backend = 8;
     /// Overload-aware routing: a backend whose last health probe reported
     /// guard pressure at or above this sinks to the back of its rendezvous
     /// order (still tried — affinity loses to overload, not to liveness).
@@ -105,21 +98,22 @@ class FleetRouter {
   /// and any hedge as a `fleet.hedge` span (note: won | lost) in this
   /// process's scope::TraceStore; every breaker transition and hedge
   /// outcome additionally lands in the scope flight recorder.
-  Result request(const Json& request_doc);
-
-  /// request(), skipping one backend entirely (the scatterer's straggler
-  /// retry must land somewhere OTHER than the backend presumed stuck).
+  ///
+  /// `exclude_backend` skips one backend entirely (the scatterer's
+  /// straggler retry must land somewhere OTHER than the backend presumed
+  /// stuck).
   Result request(const Json& request_doc,
-                 std::optional<std::size_t> exclude_backend);
+                 std::optional<std::size_t> exclude_backend = std::nullopt);
 
   /// Rendezvous rank of every backend for this document's content address
   /// (exposed for tests and the `fleet` op).
   std::vector<std::size_t> rank_for(const Json& request_doc) const;
 
-  /// Best-effort detached {"op":"cancel","trace":...} at one backend — the
-  /// scatterer's cancel-on-satisfied, same mechanism as the hedge-loser
-  /// cancel (docs/SCATTER.md).  No-op on an out-of-range index or zero id.
-  void cancel_at(std::size_t index, std::uint64_t trace_id);
+  /// A hedge race (hedge.hpp) whose attempt threads stop() joins and whose
+  /// losers get a best-effort detached {"op":"cancel","trace":...} — the
+  /// router's own hedging and the scatterer's straggler retry both race
+  /// through one of these.
+  std::shared_ptr<HedgeRace> make_race(HedgeRace::OnLand on_land = {});
 
   /// Backends currently worth scattering over: circuit breaker closed and
   /// (when the sink threshold is armed) probed guard pressure below it.
@@ -170,20 +164,13 @@ class FleetRouter {
   /// this until in-flight proxied work has landed).
   std::size_t inflight() const;
 
-  /// Stop the probe thread and wait for in-flight hedge attempts; called by
+  /// Stop the probe thread and join every race's attempt threads; called by
   /// the destructor.
   void stop();
 
   const Options& options() const { return options_; }
 
  private:
-  struct Attempt {
-    bool responded = false;  ///< a document arrived
-    bool shed = false;       ///< ... but it was an overload shed
-    Json doc;
-    RequestFailure failure = RequestFailure::kNone;
-    std::string error;
-  };
   struct Backend {
     FleetBackendConfig config;
     BackendHealth health;
@@ -199,13 +186,12 @@ class FleetRouter {
     /// Last breaker state seen by note_breaker_locked (event de-dup).
     BackendHealth::State last_state = BackendHealth::State::kClosed;
   };
-  struct HedgeState;
 
   std::uint64_t now_ms() const;
   std::uint64_t route_key(const Json& request_doc) const;
-  Attempt attempt(std::size_t index, const Json& request_doc);
-  void record_attempt_locked(Backend& b, const Attempt& a, std::uint64_t now,
-                             std::uint64_t trace_id);
+  /// One synchronous request at backend `index`, recorded in its health and
+  /// counters, and graded for the hedge scoreboard.
+  HedgeOutcome attempt(std::size_t index, const Json& request_doc);
   /// Emit a flight-recorder kBreaker event if `b`'s breaker state changed
   /// since last observed.  Caller holds mutex_.
   void note_breaker_locked(Backend& b, std::uint64_t now,
@@ -216,11 +202,6 @@ class FleetRouter {
       const std::vector<std::size_t>& order, std::size_t& pos);
   std::optional<std::uint64_t> hedge_delay_ms() const;
   void record_latency(double ms);
-  void spawn_attempt(std::size_t index, const Json& request_doc,
-                     std::shared_ptr<HedgeState> state);
-  /// Best-effort detached {"op":"cancel","trace":...} at a hedge loser so
-  /// its backend stops computing an answer nobody will read.
-  void fire_cancel(std::size_t index, std::uint64_t trace_id);
   void probe_loop();
 
   Options options_;
@@ -241,8 +222,7 @@ class FleetRouter {
   std::size_t latency_next_ = 0;
 
   bool stopping_ = false;
-  int inflight_ = 0;  ///< detached attempt threads still running
-  std::condition_variable inflight_cv_;
+  AttemptThreads inflight_;  ///< detached hedge/cancel threads still running
   std::condition_variable probe_cv_;
   std::thread probe_thread_;
 };

@@ -16,12 +16,12 @@
 //     │            rides the normal rendezvous order, breaker checks,
 //     │            pressure sink, failover), each with its own minted trace
 //     │            id and a per-sub-query deadline
-//     ├─ stragglers: once at least half the sub-queries have landed, any
-//     │              still outstanding past factor x the slowest completed
-//     │              latency is retried at a DIFFERENT backend (hedged —
-//     │              first answer wins); when an answer lands while its twin
-//     │              is still running, the twin's backend gets a cancel verb
-//     │              (cancel-on-satisfied, same mechanism as hedge losers)
+//     ├─ stragglers: each sub-query is a HedgeRace (hedge.hpp); once at
+//     │              least half have landed, any still outstanding past
+//     │              factor x the slowest completed latency races a retry
+//     │              at a DIFFERENT backend — first answer wins, and a
+//     │              still-running twin gets a cancel verb (cancel-on-
+//     │              satisfied, the same race as the router's hedging)
 //     └─ merge: trial_rates concatenated in trial-index order; beta_hat /
 //               min / max recomputed exactly as measure_throughput does;
 //               tick totals summed — byte-identical to the single-node
@@ -33,7 +33,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <mutex>
 #include <string>
 
 #include "netemu/fleet/router.hpp"
@@ -63,8 +63,9 @@ class Scatterer {
     std::function<void(const char* phase)> phase_hook;
   };
 
+  /// Sub-query attempts run on the router's attempt threads, so
+  /// FleetRouter::stop() (not this destructor) joins any still running.
   Scatterer(FleetRouter& router, Options options);
-  ~Scatterer();
 
   Scatterer(const Scatterer&) = delete;
   Scatterer& operator=(const Scatterer&) = delete;
@@ -90,18 +91,10 @@ class Scatterer {
   Stats stats() const;
 
  private:
-  struct ScatterState;
-
-  void spawn_sub(const std::shared_ptr<ScatterState>& state,
-                 std::size_t sub_index, bool is_retry);
-
   FleetRouter& router_;
   Options options_;
 
   mutable std::mutex mutex_;
-  std::condition_variable idle_cv_;
-  std::size_t outstanding_ = 0;  ///< dispatch threads still running
-  bool stopping_ = false;
   Stats stats_;
 };
 

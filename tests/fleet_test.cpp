@@ -1,14 +1,18 @@
 // Tests for netemu::fleet — rendezvous placement, the circuit-breaker state
 // machine, the ResultCache write-ahead journal (including a truncation
-// sweep at every byte offset), and the FleetRouter against real in-process
-// backends.
+// sweep at every byte offset), the hedge race with fake attempts, and the
+// FleetRouter against real in-process backends.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "netemu/fleet/health.hpp"
+#include "netemu/fleet/hedge.hpp"
 #include "netemu/fleet/rendezvous.hpp"
 #include "netemu/fleet/router.hpp"
 #include "netemu/service/client.hpp"
@@ -545,4 +550,238 @@ TEST(FleetRouter, StopWithHedgesInFlightJoinsCleanly) {
   router.stop();  // must join the probe thread and drain attempts
   const FleetRouter::Stats s = router.stats();
   EXPECT_EQ(s.answered, 8u);
+}
+
+// --------------------------------------------------------------- hedge race
+//
+// The one hedged-dispatch primitive, driven by in-process fake attempts (no
+// sockets): the scoreboard, cancel-at-loser, and joining blocked attempts.
+
+namespace {
+
+/// A latch an attempt blocks on until the test opens it.
+class Gate {
+ public:
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(m_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Counts landings (the race's OnLand) so a test can order its attempts.
+class Landings {
+ public:
+  HedgeRace::OnLand fn() {
+    return [this](bool) {
+      std::lock_guard<std::mutex> lock(m_);
+      ++landed_;
+      cv_.notify_all();
+    };
+  }
+  void wait_for(int n) {
+    std::unique_lock<std::mutex> lock(m_);
+    cv_.wait(lock, [&] { return landed_ >= n; });
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  int landed_ = 0;
+};
+
+/// Records every cancel a race fires.
+class CancelLog {
+ public:
+  HedgeRace::Cancel fn() {
+    return [this](std::size_t backend, std::uint64_t trace) {
+      std::lock_guard<std::mutex> lock(m_);
+      fired_.emplace_back(backend, trace);
+    };
+  }
+  std::vector<std::pair<std::size_t, std::uint64_t>> fired() {
+    std::lock_guard<std::mutex> lock(m_);
+    return fired_;
+  }
+
+ private:
+  std::mutex m_;
+  std::vector<std::pair<std::size_t, std::uint64_t>> fired_;
+};
+
+HedgeOutcome outcome(HedgeGrade grade, std::size_t backend,
+                     const std::string& tag) {
+  HedgeOutcome o;
+  o.grade = grade;
+  o.backend = backend;
+  if (grade == HedgeGrade::kFailed) {
+    o.error = tag;
+  } else {
+    o.doc = Json::object();
+    o.doc["tag"] = tag;
+  }
+  return o;
+}
+
+/// An attempt that waits at `gate`, then returns `o`.
+HedgeRace::Attempt gated(Gate& gate, HedgeOutcome o) {
+  return [&gate, o] {
+    gate.wait();
+    return o;
+  };
+}
+
+}  // namespace
+
+TEST(HedgeRace, FirstAnswerBeatsALaterAnswer) {
+  CancelLog cancels;
+  Gate first, second;
+  AttemptThreads threads;
+  auto race = std::make_shared<HedgeRace>(threads, cancels.fn());
+  race->launch(0, 0x10, gated(first, outcome(HedgeGrade::kAnswer, 0, "a")));
+  race->launch(1, 0x11, gated(second, outcome(HedgeGrade::kAnswer, 1, "b")));
+  EXPECT_FALSE(race->wait_for(std::chrono::milliseconds(5)));
+  first.open();
+  EXPECT_TRUE(race->wait_for(std::chrono::seconds(10)));
+  second.open();
+  threads.stop();  // the late answer has landed too
+
+  const HedgeRace::Result settled = race->take();
+  EXPECT_EQ(settled.winner, std::optional<std::size_t>(0));
+  EXPECT_EQ(settled.outcome.grade, HedgeGrade::kAnswer);
+  EXPECT_EQ(settled.outcome.doc["tag"].as_string(), "a");
+  EXPECT_EQ(settled.outcome.backend, 0u);
+}
+
+TEST(HedgeRace, AnAnswerBeatsAnEarlierShed) {
+  CancelLog cancels;
+  Landings landings;
+  Gate second;
+  AttemptThreads threads;
+  auto race =
+      std::make_shared<HedgeRace>(threads, cancels.fn(), landings.fn());
+  race->launch(0, 0x20, [] { return outcome(HedgeGrade::kShed, 0, "shed"); });
+  race->launch(1, 0x21, gated(second, outcome(HedgeGrade::kAnswer, 1, "b")));
+  landings.wait_for(1);
+  EXPECT_FALSE(race->settled()) << "a shed must not settle a live race";
+  second.open();
+  EXPECT_TRUE(race->wait_for(std::chrono::seconds(10)));
+  threads.stop();
+
+  const HedgeRace::Result settled = race->take();
+  EXPECT_EQ(settled.winner, std::optional<std::size_t>(1));
+  EXPECT_EQ(settled.outcome.doc["tag"].as_string(), "b");
+  EXPECT_FALSE(settled.cancel_fired);  // the shed had already landed
+  EXPECT_TRUE(cancels.fired().empty());
+}
+
+TEST(HedgeRace, AShedIsKeptOverATransportErrorInEitherOrder) {
+  for (const bool shed_first : {false, true}) {
+    CancelLog cancels;
+    Landings landings;
+    Gate second;
+    AttemptThreads threads;
+    auto race =
+      std::make_shared<HedgeRace>(threads, cancels.fn(), landings.fn());
+    const HedgeOutcome shed = outcome(HedgeGrade::kShed, 0, "shed");
+    const HedgeOutcome failed = outcome(HedgeGrade::kFailed, 1, "refused");
+    race->launch(0, 0x30, [o = shed_first ? shed : failed] { return o; });
+    landings.wait_for(1);
+    race->launch(1, 0x31, gated(second, shed_first ? failed : shed));
+    second.open();
+    EXPECT_TRUE(race->wait_for(std::chrono::seconds(10)));
+    threads.stop();
+
+    const HedgeRace::Result settled = race->take();
+    EXPECT_EQ(settled.winner, std::nullopt);
+    EXPECT_EQ(settled.outcome.grade, HedgeGrade::kShed)
+        << "shed_first=" << shed_first;
+    EXPECT_EQ(settled.outcome.doc["tag"].as_string(), "shed");
+    EXPECT_TRUE(cancels.fired().empty());
+  }
+}
+
+TEST(HedgeRace, CancelFiresOnceAtAStillRunningLoser) {
+  CancelLog cancels;
+  Gate slow;
+  AttemptThreads threads;
+  auto race = std::make_shared<HedgeRace>(threads, cancels.fn());
+  race->launch(3, 0x33, gated(slow, outcome(HedgeGrade::kAnswer, 3, "slow")));
+  race->launch(4, 0x44, [] { return outcome(HedgeGrade::kAnswer, 4, "x"); });
+  EXPECT_TRUE(race->wait_for(std::chrono::seconds(10)));
+  slow.open();  // the loser answers late: no second cancel
+  threads.stop();
+
+  const auto fired = cancels.fired();
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].first, 3u);      // the loser's backend ...
+  EXPECT_EQ(fired[0].second, 0x33u);  // ... and the loser's own trace id
+  const HedgeRace::Result settled = race->take();
+  EXPECT_EQ(settled.winner, std::optional<std::size_t>(1));
+  EXPECT_TRUE(settled.cancel_fired);
+  EXPECT_EQ(settled.outcome.doc["tag"].as_string(), "x");
+}
+
+TEST(HedgeRace, NoCancelWhenTheLoserHadAlreadySettled) {
+  CancelLog cancels;
+  Landings landings;
+  AttemptThreads threads;
+  auto race =
+      std::make_shared<HedgeRace>(threads, cancels.fn(), landings.fn());
+  race->launch(0, 0x50, [] { return outcome(HedgeGrade::kFailed, 0, "x"); });
+  landings.wait_for(1);
+  race->launch(1, 0x51, [] { return outcome(HedgeGrade::kAnswer, 1, "y"); });
+  EXPECT_TRUE(race->wait_for(std::chrono::seconds(10)));
+  threads.stop();
+
+  const HedgeRace::Result settled = race->take();
+  EXPECT_EQ(settled.winner, std::optional<std::size_t>(1));
+  EXPECT_FALSE(settled.cancel_fired);
+  EXPECT_TRUE(cancels.fired().empty());
+}
+
+TEST(HedgeRace, StopWhileAnAttemptIsBlockedJoinsCleanly) {
+  CancelLog cancels;
+  Gate blocked;
+  AttemptThreads threads;
+  auto race = std::make_shared<HedgeRace>(threads, cancels.fn());
+  race->launch(0, 0x60, gated(blocked, outcome(HedgeGrade::kAnswer, 0, "a")));
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    threads.stop();
+    stopped = true;
+  });
+  // stop() has begun once spawns are refused; it cannot return yet.
+  while (threads.spawn([] {})) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(stopped.load());
+
+  // A launch after stop() began is refused and settles as a failure at
+  // once, so nothing waits on it.
+  auto refused = std::make_shared<HedgeRace>(threads, cancels.fn());
+  refused->launch(1, 0x61, [] { return outcome(HedgeGrade::kAnswer, 1, "?"); });
+  EXPECT_TRUE(refused->settled());
+  const HedgeOutcome failed = refused->take().outcome;
+  EXPECT_EQ(failed.grade, HedgeGrade::kFailed);
+  EXPECT_FALSE(failed.error.empty());
+
+  blocked.open();
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
+  const HedgeRace::Result settled = race->take();
+  EXPECT_EQ(settled.winner, std::optional<std::size_t>(0));
+  EXPECT_EQ(settled.outcome.doc["tag"].as_string(), "a");
 }

@@ -29,6 +29,7 @@
 #include "netemu/service/protocol.hpp"
 #include "netemu/service/query.hpp"
 #include "netemu/service/server.hpp"
+#include "netemu/util/cancel.hpp"
 #include "netemu/util/json.hpp"
 
 using namespace netemu;
@@ -552,6 +553,59 @@ TEST(FleetScatter, StragglerRetryCoversAStalledBackend) {
             retries_before + 1);
   // The retry answered well before the 2.5 s stall released the original.
   EXPECT_LT(ms, 2000) << "straggler retry did not rescue the scatter";
+}
+
+TEST(FleetScatter, StragglerWinnerCancelsTheStalledTwin) {
+  // Backend 0's compute is pathologically slow but cooperative: it checks
+  // its cancel token every millisecond.  It owns exactly one shard, whose
+  // straggler retry wins at another backend; the race must then fire
+  // {"op":"cancel"} at the slow twin so its compute unwinds instead of
+  // running to completion (cancel-on-satisfied).
+  QueryExecutor::Options slow_options;
+  slow_options.threads = 2;
+  slow_options.compute = [](const Query&, const CancelToken& token) -> Json {
+    for (int i = 0; i < 20000; ++i) {
+      token.check();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Json::object();
+  };
+  TestBackend slow(std::move(slow_options));
+  TestBackend healthy_a, healthy_b;
+  const std::uint16_t p_slow = slow.start();
+  const std::uint16_t p_a = healthy_a.start();
+  const std::uint16_t p_b = healthy_b.start();
+  FleetRouter fleet(fast_router_options({p_slow, p_a, p_b}));
+
+  std::vector<std::size_t> owners;
+  const Json q = query_with_distinct_owners(fleet, 9, 3, &owners);
+  ASSERT_EQ(std::count(owners.begin(), owners.end(), std::size_t{0}), 1);
+  const std::string golden = reference_result(q);
+
+  FleetFrontDoor::Options door_options;
+  door_options.scatter.min_trials = 4;
+  door_options.scatter.max_ways = 3;
+  door_options.scatter.straggler_factor = 2.0;
+  door_options.scatter.straggler_min_ms = 40;
+  FleetFrontDoor door(fleet, door_options);
+
+  bool shutdown = false;
+  const std::string line = door.handle_line(q.dump(), &shutdown);
+  EXPECT_FALSE(ok_doc(line)["degraded"].as_bool(false));
+  EXPECT_EQ(result_dump(line), golden);
+  EXPECT_GE(door.scatter_stats().straggler_retries, 1u);
+  EXPECT_GE(fleet.stats().cancels_fired, 1u);
+
+  // The twin's backend really stops: its compute throws CancelledError,
+  // which its executor counts.  (Well inside the client's 5 s attempt
+  // timeout, after which a dropped waiter would cancel the flight anyway.)
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(3000);
+  while (slow.executor.stats().cancelled < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(slow.executor.stats().cancelled, 1u);
 }
 
 TEST(FleetScatter, StalledShardDegradesToARangedPartialThatIsNeverCached) {
