@@ -160,6 +160,16 @@ PacketSimulator::PreparedBatch PacketSimulator::prepare(
   return batch;
 }
 
+std::uint64_t PacketSimulator::makespan_floor(
+    const PreparedBatch& batch) const {
+  std::uint64_t floor = 0;
+  for (std::size_t c = 0; c < batch.load_.size(); ++c) {
+    const std::uint64_t cap = channel_cap_[c];
+    floor = std::max<std::uint64_t>(floor, (batch.load_[c] + cap - 1) / cap);
+  }
+  return floor;
+}
+
 namespace {
 #if defined(__GNUC__) || defined(__clang__)
 inline void prefetch_rw(const void* a) { __builtin_prefetch(a, 1, 3); }

@@ -110,6 +110,14 @@ class PacketSimulator {
   BatchStats run_batch(const PreparedBatch& batch, Prng& rng,
                        const CancelToken& cancel = {}) const;
 
+  /// A lower bound on run_batch(batch).makespan under every arbitration:
+  /// max over channels of ceil(load / wires), since a channel of w wires
+  /// carries at most w messages per tick.  On an all-unit-capacity machine
+  /// it equals batch.static_congestion().  Node forwarding caps are not
+  /// counted, so on a node-capped machine the bound may be loose.  Costs one
+  /// pass over the channel table and simulates nothing.
+  std::uint64_t makespan_floor(const PreparedBatch& batch) const;
+
   /// Convenience wrapper: prepare + run in one call.
   BatchStats run_batch(const std::vector<std::vector<Vertex>>& paths,
                        Prng& rng, const CancelToken& cancel = {}) const;

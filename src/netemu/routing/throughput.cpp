@@ -75,23 +75,31 @@ ThroughputResult measure_throughput(const Machine& machine, Router& router,
   // m must be derived from the same substream on every shard — but such a
   // shard discards trial 0's stats AND its ticks, leaving them to the shard
   // that owns trial 0 so shard ticks sum to the unsharded total.
+  //
+  // A step is provably the last one before it is simulated when m is capped
+  // or the batch's congestion floor already reaches the target (makespan >=
+  // floor).  That step's run_batch then becomes job 0 of the fan-out below
+  // instead of running alone; any other step runs here as before.
   std::uint64_t calibration_ticks = 0;
+  Prng calib_rng = Prng::stream(base, 1);
+  PacketSimulator::PreparedBatch calib_batch;
+  bool final_step_pending = false;
   {
-    Prng trial_rng = Prng::stream(base, 1);
-    PacketSimulator::PreparedBatch batch;
     std::size_t routed = 0;
     for (;;) {
-      route_into(batch, sim, router, traffic, m - routed, trial_rng,
+      route_into(calib_batch, sim, router, traffic, m - routed, calib_rng,
                  options.cancel);
       routed = m;
-      stats[0] = sim.run_batch(batch, trial_rng, options.cancel);
-      if (stats[0].makespan >= target_makespan || m >= options.max_messages) {
+      if (m >= options.max_messages ||
+          sim.makespan_floor(calib_batch) >= target_makespan) {
+        final_step_pending = true;
         break;
       }
+      stats[0] = sim.run_batch(calib_batch, calib_rng, options.cancel);
+      if (stats[0].makespan >= target_makespan) break;
       calibration_ticks += stats[0].makespan;  // non-final sizing runs
       m = std::min(options.max_messages, m * 2);
     }
-    if (lo == 0) completed[0] = 1;
   }
   result.messages = m;
 
@@ -110,14 +118,25 @@ ThroughputResult measure_throughput(const Machine& machine, Router& router,
     } catch (const CancelledError&) {
     }
   };
+  // Job j >= 1 is trial first_run + j - 1.  Job 0 finishes trial 0 and runs
+  // on the caller (for_n's contract), beside the trials: a cancellation
+  // there is still inside trial 0's step and escapes as CancelledError once
+  // the concurrent trials return.  It releases the calibration batch before
+  // the caller claims another job, so no more batches are live than threads.
   const unsigned first_run = std::max(lo, 1u);
-  if (hi > first_run) {
-    if (options.pool != nullptr) {
-      options.pool->for_n(hi - first_run,
-                          [&](std::size_t i) { run_trial(first_run + i); });
-    } else {
-      for (unsigned t = first_run; t < hi; ++t) run_trial(t);
+  const auto job = [&](std::size_t j) {
+    if (j > 0) return run_trial(first_run + j - 1);
+    if (final_step_pending) {
+      stats[0] = sim.run_batch(calib_batch, calib_rng, options.cancel);
     }
+    calib_batch = {};
+    if (lo == 0) completed[0] = 1;
+  };
+  const std::size_t jobs = 1 + (hi - first_run);
+  if (options.pool != nullptr) {
+    options.pool->for_n(jobs, job);
+  } else {
+    for (std::size_t j = 0; j < jobs; ++j) job(j);
   }
 
   // A ranged shard must stay contiguous so a merger can never double-count:

@@ -9,11 +9,17 @@
 // Determinism contract: measure_throughput draws exactly ONE value from the
 // caller's rng; everything else derives from Prng::stream(base, i) —
 // substream 0 feeds the diameter sweep, substream 1+t feeds trial t (batch
-// sampling, routing, and arbitration randomness alike).  Trial 0 runs first
-// and alone to calibrate the batch size m (doubling, reusing already-routed
-// paths and routing only the top-up); trials 1..T-1 then run at that fixed m
-// — concurrently on options.pool when set — and results are collected by
-// trial index.  The outcome is therefore bit-identical at any thread count
+// sampling, routing, and arbitration randomness alike).  Trial 0 calibrates
+// the batch size m by doubling, reusing already-routed paths and routing
+// only the top-up; trial t >= 1 depends only on (base, t, m).  Every sizing
+// step but the last runs alone.  The last one runs alone too unless it is
+// provably last before it is simulated — m hit max_messages, or the routed
+// batch's congestion floor (PacketSimulator::makespan_floor) already reaches
+// the target makespan — in which case trial 0's final run_batch runs beside
+// trials 1..T-1, all at that m, concurrently on options.pool when set.  No
+// trial ever runs at a provisional m and nothing is discarded, and results
+// are collected by trial index, so the outcome — rates, stats, total_ticks
+// and the simulated-volume counters — is bit-identical at any thread count
 // to the serial order "trial 0, trial 1, ..., trial T-1".
 //
 // Routers used with a concurrent pool must tolerate concurrent route()
@@ -49,10 +55,11 @@ struct ThroughputOptions {
   /// when called from inside one of the pool's own tasks).  nullptr = serial.
   ThreadPool* pool = nullptr;
   /// Cooperative cancellation (docs/LIFECYCLE.md).  Cancellation during the
-  /// calibration sweep raises CancelledError (no trial has landed yet);
-  /// cancellation after >= 1 trial completed returns the completed trials as
-  /// a degraded partial result instead of throwing.  A null token costs
-  /// nothing and cannot fire.
+  /// calibration sweep — trial 0's final run_batch included, even when it
+  /// runs beside the other trials — raises CancelledError (no trial has
+  /// landed yet); cancellation after trial 0 completed returns the completed
+  /// trials as a degraded partial result instead of throwing.  A null token
+  /// costs nothing and cannot fire.
   CancelToken cancel{};
 };
 

@@ -141,10 +141,10 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 void ThreadPool::for_n(std::size_t count,
                        const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  // The caller runs work() itself, occupying one core; helpers beyond the
-  // remaining cores would only be oversubscription (reserved = 1).  Results
-  // are collected by index, so the helper count never affects the output —
-  // only the wall clock.
+  // The caller runs index 0 and then work() itself, occupying one core;
+  // helpers beyond the remaining cores would only be oversubscription
+  // (reserved = 1).  Results are collected by index, so the helper count
+  // never affects the output — only the wall clock.
   const std::size_t helpers =
       hardware_cap(std::min(count - 1, workers_.size()), 1);
   if (count == 1 || helpers == 0) {
@@ -155,7 +155,7 @@ void ThreadPool::for_n(std::size_t count,
   struct Shared {
     std::function<void(std::size_t)> fn;
     std::size_t count = 0;
-    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> next{1};  // index 0 belongs to the caller
     std::atomic<std::size_t> done{0};
     std::mutex mutex;
     std::condition_variable cv;
@@ -168,28 +168,31 @@ void ThreadPool::for_n(std::size_t count,
   // Helpers hold the state by shared_ptr: one that only gets scheduled after
   // the caller already finished the loop claims an out-of-range index and
   // exits without touching anything else.
-  auto work = [shared] {
+  const auto run = [](Shared& s, std::size_t i) {
+    try {
+      s.fn(i);
+    } catch (...) {
+      std::lock_guard lock(s.mutex);
+      if (!s.error) s.error = std::current_exception();
+    }
+    if (s.done.fetch_add(1, std::memory_order_acq_rel) + 1 == s.count) {
+      std::lock_guard lock(s.mutex);  // pairs with the caller's wait
+      s.cv.notify_all();
+    }
+  };
+  auto work = [shared, run] {
     for (;;) {
       const std::size_t i =
           shared->next.fetch_add(1, std::memory_order_relaxed);
       if (i >= shared->count) return;
-      try {
-        shared->fn(i);
-      } catch (...) {
-        std::lock_guard lock(shared->mutex);
-        if (!shared->error) shared->error = std::current_exception();
-      }
-      if (shared->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          shared->count) {
-        std::lock_guard lock(shared->mutex);  // pairs with the caller's wait
-        shared->cv.notify_all();
-      }
+      run(*shared, i);
     }
   };
 
   for (std::size_t h = 0; h < helpers; ++h) {
     if (!submit(work)) break;  // shutting down: the caller covers the rest
   }
+  run(*shared, 0);
   work();
   {
     std::unique_lock lock(shared->mutex);

@@ -66,13 +66,19 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& fn);
 
   /// Collaborative indexed loop: run fn(i) for i in [0, count), claiming
-  /// indices from a shared atomic counter.  The CALLER participates — it
-  /// keeps claiming and running indices itself — so unlike parallel_for this
-  /// is safe (and deadlock-free) when invoked from inside a pool task, even
-  /// when every worker is busy: the caller simply runs everything.  Helper
-  /// tasks are submitted best-effort; idle workers pick indices up as they
-  /// free.  The first exception thrown by fn is rethrown on the caller after
-  /// all claimed indices finish.
+  /// indices from a shared atomic counter.  Contract:
+  ///  * the CALLER always runs index 0 itself, first, and only then helps
+  ///    claim the rest — a caller whose index 0 finishes work it already
+  ///    started (measure_throughput's final calibration step) never has a
+  ///    helper take it over while the caller starts something else;
+  ///  * the caller participates to the end, so unlike parallel_for this is
+  ///    safe (and deadlock-free) when invoked from inside a pool task, even
+  ///    when every worker is busy: the caller simply runs everything;
+  ///  * helper tasks are submitted best-effort; idle workers pick indices
+  ///    up as they free;
+  ///  * the first exception thrown by fn (index 0's included) is rethrown on
+  ///    the caller only after every claimed index has finished — no index
+  ///    is still running when for_n returns or throws.
   void for_n(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide default pool (lazily constructed).

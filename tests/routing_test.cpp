@@ -490,6 +490,83 @@ TEST(PacketSim, MakespanAtLeastCongestionAndDilation) {
   EXPECT_LE(s.makespan, 3 * (s.static_congestion + dilation));
 }
 
+// Seeded random connected multigraph: a random spanning tree plus n/2 extra
+// edges, each of 1..max_mult parallel wires.
+Machine random_multigraph_machine(Prng& rng, std::uint32_t max_mult) {
+  const std::size_t n = 4 + rng.below(13);
+  MultigraphBuilder builder(n);
+  const auto mult = [&] {
+    return static_cast<std::uint32_t>(1 + rng.below(max_mult));
+  };
+  for (std::size_t v = 1; v < n; ++v) {
+    builder.add_edge(static_cast<Vertex>(v),
+                     static_cast<Vertex>(rng.below(v)), mult());
+  }
+  for (std::size_t e = 0; e < n / 2; ++e) {
+    const auto u = static_cast<Vertex>(rng.below(n));
+    const auto v = static_cast<Vertex>(rng.below(n));
+    if (u != v) builder.add_edge(u, v, mult());
+  }
+  Machine m;
+  m.graph = std::move(builder).build();
+  m.name = "random";
+  return m;
+}
+
+TEST(PacketSim, MakespanFloorNeverExceedsTheMakespan) {
+  // makespan_floor is what lets measure_throughput declare a calibration
+  // step final before simulating it, so it must be a true lower bound under
+  // every arbitration, with multi-wire edges and with node caps.
+  int unit_machines = 0, multi_wire_machines = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (const std::uint32_t max_mult : {1u, 3u}) {
+      for (const bool capped : {false, true}) {
+        Prng rng(seed * 7919 + max_mult);
+        Machine m = random_multigraph_machine(rng, max_mult);
+        const std::size_t n = m.graph.num_vertices();
+        if (capped) {
+          m.forward_cap.resize(n);
+          for (auto& cap : m.forward_cap) {
+            cap = static_cast<std::uint32_t>(1 + rng.below(2));
+          }
+        }
+        // The builder sums repeated pairs, so max_mult 1 can still yield a
+        // multi-wire edge.
+        bool all_unit = true;
+        for (Vertex v = 0; v < n; ++v) {
+          for (const Arc& arc : m.graph.neighbors(v)) {
+            all_unit = all_unit && arc.mult == 1;
+          }
+        }
+        ++(all_unit ? unit_machines : multi_wire_machines);
+        const auto router = make_bfs_router(m);
+        std::vector<std::vector<Vertex>> paths(2 * n + rng.below(6 * n));
+        for (auto& p : paths) {
+          p = router->route(static_cast<Vertex>(rng.below(n)),
+                            static_cast<Vertex>(rng.below(n)), rng);
+        }
+        for (const Arbitration a : {Arbitration::kFarthestFirst,
+                                    Arbitration::kFifo, Arbitration::kRandom}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " mult<=" +
+                       std::to_string(max_mult) +
+                       (capped ? " capped " : " uncapped ") +
+                       arbitration_name(a));
+          const PacketSimulator sim(m, a);
+          const auto batch = sim.prepare(paths);
+          Prng sim_rng(seed);
+          const BatchStats s = sim.run_batch(batch, sim_rng);
+          EXPECT_LE(sim.makespan_floor(batch), s.makespan);
+          if (all_unit) {
+            EXPECT_EQ(sim.makespan_floor(batch), s.static_congestion);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(unit_machines, 0);
+  EXPECT_GT(multi_wire_machines, 0);
+}
+
 // --------------------------------------------------------------------------
 // Throughput meter.
 

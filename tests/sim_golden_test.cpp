@@ -8,19 +8,26 @@
 // per-node forward cap) and pin that contract down.
 //
 // Also covered here: prepare()-vs-append() equivalence (the route-reuse
-// path of batch doubling) and thread-count invariance of the parallel
-// trial loop in measure_throughput.
+// path of batch doubling), thread-count invariance of the parallel trial
+// loop in measure_throughput, and pooled-vs-serial parity of both of its
+// calibration endings (overlapped final step and standalone final step),
+// cancellation included.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "netemu/graph/algorithms.hpp"
 #include "netemu/routing/bfs_router.hpp"
 #include "netemu/routing/packet_sim.hpp"
+#include "netemu/routing/router.hpp"
 #include "netemu/routing/throughput.hpp"
 #include "netemu/topology/generators.hpp"
 #include "netemu/util/prng.hpp"
@@ -219,6 +226,251 @@ TEST(SimGolden, ThroughputIsThreadCountInvariant) {
     EXPECT_EQ(r.messages, serial.messages);
     EXPECT_EQ(r.last, serial.last);
     EXPECT_EQ(r.total_ticks, serial.total_ticks);
+  }
+}
+
+// --------------------------------------------------------------------------
+// Overlapped final calibration step: with a pool, trial 0's last run_batch
+// runs beside trials 1..T-1 once the congestion floor proves that step
+// final; otherwise it runs alone first.  Either way the pooled result must
+// equal the serial one bit for bit, simulated volume included.
+
+TrafficDistribution all_processors(const Machine& m) {
+  std::vector<Vertex> procs(m.num_processors());
+  for (std::size_t i = 0; i < procs.size(); ++i) procs[i] = m.processor(i);
+  return TrafficDistribution::symmetric(std::move(procs));
+}
+
+/// Replays measure_throughput's calibration ladder (see throughput.cpp) and
+/// reports whether its last step was proven final before being simulated —
+/// i.e. whether a pooled run overlaps it with the other trials.
+bool final_step_overlaps(const Machine& m, Router& router,
+                         const TrafficDistribution& traffic,
+                         std::uint64_t seed, const ThroughputOptions& opt) {
+  Prng rng(seed);
+  const std::uint64_t base = rng();
+  Prng diam_rng = Prng::stream(base, 0);
+  const std::uint64_t target = std::max<std::uint64_t>(
+      opt.min_makespan, 4 * diameter_double_sweep(m.graph, diam_rng));
+  std::size_t msgs = std::clamp<std::size_t>(
+      opt.messages_per_processor * traffic.num_processors(), 512,
+      opt.max_messages);
+  const PacketSimulator sim(m, opt.arbitration);
+  Prng trial_rng = Prng::stream(base, 1);
+  PacketSimulator::PreparedBatch batch;
+  std::vector<Vertex> path;
+  std::size_t routed = 0;
+  for (;;) {
+    for (const Message& msg : traffic.batch(msgs - routed, trial_rng)) {
+      router.route_append(msg.src, msg.dst, trial_rng, path);
+      sim.append(batch, path);
+    }
+    routed = msgs;
+    if (msgs >= opt.max_messages || sim.makespan_floor(batch) >= target) {
+      return true;
+    }
+    if (sim.run_batch(batch, trial_rng).makespan >= target) return false;
+    msgs = std::min(opt.max_messages, msgs * 2);
+  }
+}
+
+struct CountedRun {
+  ThroughputResult result;
+  std::uint64_t messages = 0;  // simulated_messages_total() delta
+  std::uint64_t ticks = 0;     // simulated_ticks_total() delta
+  std::uint64_t batches = 0;   // simulated_batches_total() delta
+};
+
+CountedRun counted_run(const Machine& m, Router& router,
+                       const TrafficDistribution& traffic, std::uint64_t seed,
+                       const ThroughputOptions& opt) {
+  const std::uint64_t messages = simulated_messages_total();
+  const std::uint64_t ticks = simulated_ticks_total();
+  const std::uint64_t batches = simulated_batches_total();
+  Prng rng(seed);
+  CountedRun run;
+  run.result = measure_throughput(m, router, traffic, rng, opt);
+  run.messages = simulated_messages_total() - messages;
+  run.ticks = simulated_ticks_total() - ticks;
+  run.batches = simulated_batches_total() - batches;
+  return run;
+}
+
+void expect_identical(const ThroughputResult& a, const ThroughputResult& b) {
+  EXPECT_EQ(a.rate, b.rate);
+  EXPECT_EQ(a.rate_min, b.rate_min);
+  EXPECT_EQ(a.rate_max, b.rate_max);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.last, b.last);
+  EXPECT_EQ(a.trial_rates, b.trial_rates);
+  EXPECT_EQ(a.total_ticks, b.total_ticks);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.trials_completed, b.trials_completed);
+  EXPECT_EQ(a.trial_lo, b.trial_lo);
+}
+
+/// measure_throughput with a 4-thread pool against the serial path.
+/// Returns whether the final calibration step overlapped.
+bool expect_pooled_matches_serial(const Machine& m, ThroughputOptions opt,
+                                  std::uint64_t seed) {
+  ThreadPool pool(4);
+  const auto router = make_default_router(m);
+  const auto traffic = all_processors(m);
+  opt.pool = nullptr;
+  const CountedRun serial = counted_run(m, *router, traffic, seed, opt);
+  opt.pool = &pool;
+  const CountedRun pooled = counted_run(m, *router, traffic, seed, opt);
+  expect_identical(pooled.result, serial.result);
+  EXPECT_EQ(pooled.messages, serial.messages);
+  EXPECT_EQ(pooled.ticks, serial.ticks);
+  EXPECT_EQ(pooled.batches, serial.batches);
+  EXPECT_FALSE(serial.result.degraded);
+  return final_step_overlaps(m, *router, traffic, seed, opt);
+}
+
+TEST(SimGolden, OverlappedFinalStepMatchesSerialOnEveryArbitration) {
+  for (const char* topology : {"mesh8x8", "butterfly3", "tree5"}) {
+    for (const Arbitration a : {Arbitration::kFarthestFirst,
+                                Arbitration::kFifo, Arbitration::kRandom}) {
+      SCOPED_TRACE(std::string(topology) + "/" + arbitration_name(a));
+      ThroughputOptions opt;
+      opt.trials = 6;
+      opt.arbitration = a;
+      EXPECT_TRUE(
+          expect_pooled_matches_serial(golden_machine(topology), opt, 4242))
+          << "the floor no longer proves the final step: this case stopped "
+             "covering the overlapped path";
+    }
+  }
+}
+
+TEST(SimGolden, StandaloneFinalStepMatchesSerialOnANodeCappedBus) {
+  // Every message crosses the hub, which forwards one per tick: the
+  // makespan reaches the target while the per-spoke channel floor stays far
+  // below it, so the last step cannot be proven early and runs alone.
+  ThroughputOptions opt;
+  opt.trials = 6;
+  EXPECT_FALSE(expect_pooled_matches_serial(make_global_bus(16), opt, 77));
+}
+
+TEST(SimGolden, RangedShardMatchesSerial) {
+  // A shard with trial_lo > 0 still runs trial 0's calibration, final step
+  // included, and discards it.
+  ThroughputOptions opt;
+  opt.trials = 8;
+  opt.trial_lo = 3;
+  opt.trial_hi = 7;
+  EXPECT_TRUE(expect_pooled_matches_serial(make_mesh({8, 8}), opt, 4242));
+}
+
+/// Forwards to `inner`.  Every route after the first `arm_after` waits for
+/// `ready()` and then fires `source`.
+class CancellingRouter : public Router {
+ public:
+  CancellingRouter(Router& inner, CancelSource& source, std::size_t arm_after,
+                   std::function<bool()> ready)
+      : inner_(inner),
+        source_(source),
+        arm_after_(arm_after),
+        ready_(std::move(ready)) {}
+
+  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override {
+    std::vector<Vertex> out;
+    route_append(src, dst, rng, out);
+    return out;
+  }
+
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override {
+    if (calls_.fetch_add(1) >= arm_after_) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!ready_() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      source_.request_cancel();
+    }
+    inner_.route_append(src, dst, rng, out);
+  }
+
+  const char* name() const override { return "cancelling"; }
+
+ private:
+  Router& inner_;
+  CancelSource& source_;
+  const std::size_t arm_after_;
+  const std::function<bool()> ready_;
+  std::atomic<std::size_t> calls_{0};
+};
+
+TEST(SimGolden, CancelInTheFanOutLeavesTrialZeroOnlyPooledOrSerial) {
+  const Machine m = make_mesh({8, 8});
+  const auto inner = make_default_router(m);
+  const auto traffic = all_processors(m);
+  ThroughputOptions opt;
+  opt.trials = 6;
+  ASSERT_TRUE(final_step_overlaps(m, *inner, traffic, 4242, opt));
+  const CountedRun clean = counted_run(m, *inner, traffic, 4242, opt);
+  // Calibration routes exactly m messages (top-ups sum to m) and runs one
+  // batch per sizing step; each fan-out trial routes m and runs one batch.
+  const std::size_t calibration_routes = clean.result.messages;
+  const std::uint64_t calibration_batches = clean.batches - (opt.trials - 1);
+
+  ThreadPool pool(4);
+  std::vector<ThroughputResult> results;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pooled");
+    CancelSource source;
+    const std::uint64_t batches_before = simulated_batches_total();
+    // A cancel that lands before trial 0's final run_batch has returned is
+    // a cancellation inside trial 0's step (it raises; see the next test).
+    // Holding fan-out routes until trial 0 has landed pins the fan-out case
+    // on both paths alike.
+    CancellingRouter router(*inner, source, calibration_routes, [&] {
+      return simulated_batches_total() - batches_before >=
+             calibration_batches;
+    });
+    opt.pool = p;
+    opt.cancel = source.token();
+    Prng rng(4242);
+    results.push_back(measure_throughput(m, router, traffic, rng, opt));
+    const ThroughputResult& r = results.back();
+    EXPECT_TRUE(r.degraded);
+    EXPECT_EQ(r.trials_completed, 1u);
+    EXPECT_EQ(r.trial_rates,
+              std::vector<double>{clean.result.trial_rates.front()});
+    EXPECT_EQ(r.messages, clean.result.messages);
+  }
+  expect_identical(results[1], results[0]);
+}
+
+TEST(SimGolden, CancelInsideTrialZeroStepRaisesPooledOrSerial) {
+  const Machine m = make_mesh({8, 8});
+  const auto inner = make_default_router(m);
+  const auto traffic = all_processors(m);
+  ThroughputOptions opt;
+  opt.trials = 6;
+  ASSERT_TRUE(final_step_overlaps(m, *inner, traffic, 4242, opt));
+  Prng probe(4242);
+  const std::size_t calibration_routes =
+      measure_throughput(m, *inner, traffic, probe, opt).messages;
+
+  ThreadPool pool(4);
+  // Firing on the first route stops the ladder mid-routing; firing on the
+  // last calibration route lets routing finish, so the cancel is first seen
+  // by trial 0's final run_batch — the one that runs beside the fan-out.
+  for (const std::size_t arm_after : {std::size_t{0}, calibration_routes - 1}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(std::to_string(arm_after) +
+                   (p == nullptr ? " serial" : " pooled"));
+      CancelSource source;
+      CancellingRouter router(*inner, source, arm_after, [] { return true; });
+      opt.pool = p;
+      opt.cancel = source.token();
+      Prng rng(4242);
+      EXPECT_THROW(measure_throughput(m, router, traffic, rng, opt),
+                   CancelledError);
+    }
   }
 }
 

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "netemu/util/cli.hpp"
@@ -256,6 +260,80 @@ TEST(ThreadPool, PropagatesException) {
                                    if (i == 3) throw std::runtime_error("x");
                                  }),
                std::runtime_error);
+}
+
+// for_n's contract (thread_pool.hpp): the caller runs index 0 itself,
+// exceptions surface only once every claimed index is done, and a call from
+// inside a pool task never waits on a worker.
+
+TEST(ThreadPool, ForNRunsIndexZeroOnTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 200; ++round) {
+    std::thread::id zero_ran_on;
+    std::vector<std::atomic<int>> hits(8);
+    pool.for_n(hits.size(), [&](std::size_t i) {
+      if (i == 0) zero_ran_on = std::this_thread::get_id();
+      hits[i].fetch_add(1);
+    });
+    ASSERT_EQ(zero_ran_on, caller) << "round " << round;
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPool, ForNRethrowsIndexZeroAfterEveryClaimedIndex) {
+  ThreadPool pool(4);
+  constexpr std::size_t kCount = 12;
+  std::atomic<int> started{0}, finished{0};
+  EXPECT_THROW(
+      pool.for_n(kCount,
+                 [&](std::size_t i) {
+                   if (i == 0) {
+                     // Throw only once another index is under way (or, on a
+                     // pool that could not start a helper, straight away).
+                     const auto give_up = std::chrono::steady_clock::now() +
+                                          std::chrono::milliseconds(200);
+                     while (started.load() == 0 &&
+                            std::chrono::steady_clock::now() < give_up) {
+                       std::this_thread::yield();
+                     }
+                     throw std::runtime_error("index 0");
+                   }
+                   started.fetch_add(1);
+                   std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                   finished.fetch_add(1);
+                 }),
+      std::runtime_error);
+  // Nothing is still running once for_n throws, and the loop went on to
+  // cover every other index.
+  EXPECT_EQ(started.load(), finished.load());
+  EXPECT_EQ(finished.load(), static_cast<int>(kCount - 1));
+}
+
+TEST(ThreadPool, NestedForNCompletesWithEveryWorkerBusy) {
+  constexpr std::size_t kWorkers = 2;
+  ThreadPool pool(kWorkers);
+  std::atomic<std::size_t> busy{0};
+  std::atomic<int> sum{0};
+  std::vector<std::promise<void>> done(kWorkers);
+  std::vector<std::future<void>> landed;
+  for (auto& d : done) landed.push_back(d.get_future());
+  for (auto& d : done) {
+    pool.submit([&pool, &busy, &sum, &d] {
+      // Hold every worker inside a task before any of them calls for_n, so
+      // no worker is free to take a helper.
+      busy.fetch_add(1);
+      while (busy.load() < kWorkers) std::this_thread::yield();
+      pool.for_n(32, [&](std::size_t) { sum.fetch_add(1); });
+      d.set_value();
+    });
+  }
+  for (auto& f : landed) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+  }
+  EXPECT_EQ(sum.load(), static_cast<int>(32 * kWorkers));
+  pool.wait_idle();  // late helpers find no index left and exit
 }
 
 TEST(Table, RendersAlignedColumns) {
