@@ -65,7 +65,7 @@ SeedResult run_seed(const FaultPlan& plan, std::size_t clients,
   {
     QueryExecutor::Options exec_options;
     exec_options.threads = 4;
-    exec_options.max_queue = 64;
+    exec_options.guard.cost_budget = 64;
     exec_options.hang_timeout_ms = 2000;
     exec_options.cache_file = cache_path;
     exec_options.faults = &injector;

@@ -1,6 +1,6 @@
 // overload_soak: overload-guard acceptance (docs/GUARD.md).  For each seed
-// it starts ONE real netemu_serve backend with the guard enabled and a
-// deliberately small admission budget, then storms it with a heterogeneous
+// it starts ONE real netemu_serve backend with fair share, AIMD and
+// brownout turned on and a deliberately small admission budget, then storms it with a heterogeneous
 // client mix (netemu/faultline/client_mix.hpp) at several times its
 // capacity:
 //
@@ -86,15 +86,15 @@ struct SeedResult {
 
 bool start_backend(ManagedProcess& proc, const std::string& serve_bin,
                    std::uint16_t* port, std::string* error) {
-  // Small compute pool + small guard budget: the storm must actually
-  // overload it.  client_share 0.2 caps any one identity at 20% of the
-  // budget so two greedy identities cannot monopolize admission.
+  // Small compute pool + small cost budget (--queue): the storm must
+  // actually overload it.  client_share 0.2 caps any one identity at 20% of
+  // the budget so two greedy identities cannot monopolize admission.
   bench::ServeSpawn spawn;
+  spawn.queue = 12;
   spawn.extra_args = {
-      "--guard",
-      "--guard-budget", "12",
       "--guard-share", "0.2",
       "--guard-target-p95-ms", "100",
+      "--guard-brownout",
       "--drain-ms", "2000",
   };
   return bench::spawn_serve(proc, serve_bin, spawn, port, error);

@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
 
   QueryExecutor::Options exec_options;
   exec_options.threads = static_cast<std::size_t>(cli.get_int("threads", 0));
-  exec_options.max_queue = 1024;
+  exec_options.guard.cost_budget = 1024;
   QueryExecutor executor(exec_options);
 
   Server::Options server_options;

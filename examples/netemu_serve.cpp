@@ -7,7 +7,12 @@
 //   $ netemu_serve --fault-plan 'seed=7,drop=0.02,torn=0.3'   # chaos mode
 //   $ netemu_serve --no-journal        # skip the crash-recovery WAL
 //   $ netemu_serve --io-threads 4      # epoll reactor shards (0 = hw threads)
-//   $ netemu_serve --guard             # overload guard (docs/GUARD.md)
+//   $ netemu_serve --queue 512         # admission budget, in cost units
+//   $ netemu_serve --guard-share 0.5 --guard-brownout   # share + brownout
+//
+// Admission (docs/GUARD.md) is one cost-unit gate: --queue sets its budget
+// (default 256), and each of --guard-share, --guard-rate,
+// --guard-target-p95-ms and --guard-brownout turns on one more mechanism.
 //
 // Stop with SIGINT/SIGTERM or a client {"op":"drain"} / {"op":"shutdown"}.
 // Signals and the drain op run the graceful drain (docs/LIFECYCLE.md): stop
@@ -72,13 +77,31 @@ void drain_and_stop(Server& server, QueryExecutor& executor,
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
 
+  // Removed admission flags: Cli ignores unknown flags, so a stale script
+  // would otherwise run silently on a different admission config.
+  const struct {
+    const char* flag;
+    const char* instead;
+  } removed[] = {
+      {"guard", "the guard is always on; its defaults are the old count gate"},
+      {"guard-budget", "use --queue, the cost budget"},
+      {"no-guard-adaptive", "AIMD runs only with --guard-target-p95-ms > 0"},
+      {"no-guard-brownout", "brownout is off unless --guard-brownout"},
+  };
+  for (const auto& r : removed) {
+    if (cli.has(r.flag)) {
+      std::cerr << "netemu_serve: --" << r.flag << " was removed: "
+                << r.instead << "\n";
+      return 1;
+    }
+  }
+
   // A fatal signal dumps the scope flight recorder (recent sheds, watchdog
   // fires, injected faults — with trace ids) to stderr before re-raising.
   scope::install_crash_handler();
 
   QueryExecutor::Options exec_options;
   exec_options.threads = static_cast<std::size_t>(cli.get_int("threads", 0));
-  exec_options.max_queue = static_cast<std::size_t>(cli.get_int("queue", 256));
   exec_options.default_deadline_ms =
       static_cast<std::uint64_t>(cli.get_int("deadline-ms", 30000));
   exec_options.cache_capacity =
@@ -92,20 +115,17 @@ int main(int argc, char** argv) {
   exec_options.retry_after_hint_ms =
       static_cast<std::uint64_t>(cli.get_int("retry-after-ms", 50));
 
-  // Overload guard (docs/GUARD.md): cost-model admission, per-client fair
-  // share + rate limits, AIMD concurrency adaptation, brownout degradation.
-  // Off by default — the guard changes shed behaviour under pressure, so
-  // opting in is explicit.
-  exec_options.guard.enabled = cli.has("guard");
+  // Admission (docs/GUARD.md): a cost-unit budget, plus per-client fair
+  // share and rate limits, AIMD concurrency adaptation and brownout, each
+  // off unless its flag sets it.
   exec_options.guard.cost_budget =
-      static_cast<std::uint64_t>(cli.get_int("guard-budget", 0));
+      static_cast<std::uint64_t>(cli.get_int("queue", 256));
+  exec_options.guard.client_share = cli.get_double("guard-share", 1.0);
   exec_options.guard.rate_units_per_s =
       static_cast<double>(cli.get_int("guard-rate", 0));
   exec_options.guard.target_p95_ms =
-      static_cast<std::uint64_t>(cli.get_int("guard-target-p95-ms", 250));
-  exec_options.guard.client_share = cli.get_double("guard-share", 0.5);
-  if (cli.has("no-guard-brownout")) exec_options.guard.brownout = false;
-  if (cli.has("no-guard-adaptive")) exec_options.guard.adaptive = false;
+      static_cast<double>(cli.get_int("guard-target-p95-ms", 0));
+  exec_options.guard.brownout = cli.has("guard-brownout");
 
   // Chaos mode: inject a deterministic fault plan into the daemon's own
   // sockets, workers, and cache writes (see docs/FAULTLINE.md).

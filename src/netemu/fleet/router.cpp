@@ -456,9 +456,9 @@ void FleetRouter::probe_loop() {
     }
     for (std::size_t i : targets) ++backends_[i]->probes;
     lock.unlock();
-    // Health answers double as pressure reports: the backend's guard (or,
-    // guardless, its queue fullness) rides in result.pressure and feeds the
-    // router's prefer-lower-pressure ordering.
+    // Health answers double as pressure reports: the backend's guard
+    // pressure rides in result.pressure and feeds the router's
+    // prefer-lower-pressure ordering.
     std::vector<std::pair<std::size_t, double>> pressures;
     for (std::size_t i : targets) {
       const HedgeOutcome a = attempt(i, probe);

@@ -142,8 +142,8 @@ class FleetRouter {
     std::uint64_t transport_failures = 0;  ///< drops/timeouts (incl. refused)
     std::uint64_t probes = 0;     ///< background health probes sent
     std::uint64_t ejections = 0;  ///< breaker open transitions
-    /// Guard pressure from the last health probe (0 until one answers;
-    /// backends without a guard report queue fullness instead).
+    /// Guard pressure from the last health probe (0 until one answers):
+    /// pending admitted cost over the backend's effective limit.
     double pressure = 0.0;
   };
   struct Stats {

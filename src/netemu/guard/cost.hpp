@@ -3,7 +3,7 @@
 //
 // The paper's thesis is that the binding resource is communication work,
 // not request count — and the service's expensive queries are exactly the
-// ones that simulate communication.  Counting queries (max_queue) treats a
+// ones that simulate communication.  Counting queries treats a
 // closed-form beta lookup and a 64-trial million-node packet simulation as
 // equal; counting estimated sim-ticks makes one greedy client's huge
 // estimate cost what it actually costs.

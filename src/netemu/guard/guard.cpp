@@ -7,6 +7,24 @@ namespace netemu::guard {
 
 namespace {
 
+// Tuning that no deployment has needed to change.  Bucket depth, in
+// seconds of refill.
+constexpr double kRateBurstSeconds = 2.0;
+// AIMD controller: vote every interval on at least this many new samples;
+// multiply the limit down on a miss, add a budget fraction back on a hit,
+// and keep it between the floor and ceiling (both x cost_budget).
+constexpr std::uint64_t kAdjustIntervalMs = 100;
+constexpr std::uint64_t kAdjustMinSamples = 8;
+constexpr double kDecreaseFactor = 0.7;
+constexpr double kIncreaseFraction = 0.05;
+constexpr double kLimitFloor = 0.125;
+constexpr double kLimitCeiling = 2.0;
+// Brownout: above this pressure an estimate keeps this fraction of its
+// trials, and never fewer than the minimum.
+constexpr double kBrownoutPressure = 0.75;
+constexpr double kBrownoutKeep = 0.25;
+constexpr unsigned kBrownoutMinTrials = 1;
+
 scope::Counter& shed_rate_counter() {
   static scope::Counter& c = scope::Registry::global().counter(
       "netemu_guard_rate_limited_total",
@@ -73,15 +91,11 @@ Guard::Guard(Options options, const scope::Histogram* execute_hist)
     : options_(std::move(options)),
       execute_hist_(execute_hist),
       started_(std::chrono::steady_clock::now()) {
-  if (options_.cost_budget == 0) options_.cost_budget = 512;
-  if (options_.rate_units_per_s > 0.0 && options_.rate_burst_units <= 0.0) {
-    options_.rate_burst_units = 2.0 * options_.rate_units_per_s;
-  }
+  // A zero budget would shed every flight behind an idle one; one unit is
+  // the smallest gate that still serves.
+  options_.cost_budget = std::max<std::uint64_t>(1, options_.cost_budget);
   options_.client_share = std::clamp(options_.client_share, 0.01, 1.0);
-  options_.brownout_keep = std::clamp(options_.brownout_keep, 0.01, 1.0);
-  options_.limit_floor = std::max(1e-3, options_.limit_floor);
-  options_.limit_ceiling =
-      std::max(options_.limit_floor, options_.limit_ceiling);
+  burst_units_ = kRateBurstSeconds * options_.rate_units_per_s;
   limit_ = static_cast<double>(options_.cost_budget);
   limit_gauge().set(limit_);
 }
@@ -98,7 +112,7 @@ void Guard::refill_locked(ClientState& c, std::uint64_t now) const {
   if (options_.rate_units_per_s <= 0.0) return;
   const double elapsed_s =
       static_cast<double>(now - c.last_refill_ms) / 1000.0;
-  c.tokens = std::min(options_.rate_burst_units,
+  c.tokens = std::min(burst_units_,
                       c.tokens + elapsed_s * options_.rate_units_per_s);
   c.last_refill_ms = now;
 }
@@ -109,7 +123,7 @@ Guard::ClientState& Guard::client_state_locked(const std::string& client,
   if (it == clients_.end()) {
     if (clients_.size() >= options_.max_clients) evict_idle_locked(now);
     ClientState fresh;
-    fresh.tokens = options_.rate_burst_units;  // strangers start with credit
+    fresh.tokens = burst_units_;  // strangers start with credit
     fresh.last_refill_ms = now;
     it = clients_.emplace(client, fresh).first;
   }
@@ -134,8 +148,8 @@ void Guard::evict_idle_locked(std::uint64_t now) {
 }
 
 void Guard::maybe_adjust_locked(std::uint64_t now) {
-  if (!options_.adaptive || execute_hist_ == nullptr) return;
-  if (now - last_adjust_ms_ < options_.adjust_interval_ms) return;
+  if (!runs_aimd()) return;
+  if (now - last_adjust_ms_ < kAdjustIntervalMs) return;
   last_adjust_ms_ = now;
 
   const scope::Histogram::Snapshot cur = execute_hist_->snapshot();
@@ -154,20 +168,16 @@ void Guard::maybe_adjust_locked(std::uint64_t now) {
     delta.buckets[b] = cur.buckets[b] - last_snapshot_.buckets[b];
   }
   last_snapshot_ = cur;
-  if (delta.count < options_.adjust_min_samples) return;  // thin window
+  if (delta.count < kAdjustMinSamples) return;  // thin window
 
   const double p95_ms = delta.quantile(0.95) / 1000.0;  // hist is in us
-  const double floor =
-      options_.limit_floor * static_cast<double>(options_.cost_budget);
-  const double ceiling =
-      options_.limit_ceiling * static_cast<double>(options_.cost_budget);
+  const auto budget = static_cast<double>(options_.cost_budget);
   if (p95_ms > options_.target_p95_ms) {
-    limit_ = std::max(floor, limit_ * options_.decrease_factor);
+    limit_ = std::max(kLimitFloor * budget, limit_ * kDecreaseFactor);
     ++counters_.limit_decreases;
   } else {
-    limit_ = std::min(
-        ceiling, limit_ + options_.increase_fraction *
-                              static_cast<double>(options_.cost_budget));
+    limit_ = std::min(kLimitCeiling * budget,
+                      limit_ + kIncreaseFraction * budget);
     ++counters_.limit_increases;
   }
   limit_gauge().set(limit_);
@@ -220,7 +230,7 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
   // so a huge estimate is paid off by future refills instead of being
   // unservable) and the backlog.
   if (options_.rate_units_per_s > 0.0) {
-    c.tokens = std::max(-options_.rate_burst_units,
+    c.tokens = std::max(-burst_units_,
                         c.tokens - static_cast<double>(cost));
   }
   c.in_flight_cost += cost;
@@ -233,12 +243,12 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
   // Trial-range shards are exempt: shrinking a shard's sweep would change
   // which trials it covers and corrupt the scatter merge — under pressure a
   // shard either runs whole or sheds (docs/SCATTER.md).
-  if (options_.brownout && pressure > options_.brownout_pressure &&
+  if (options_.brownout && pressure > kBrownoutPressure &&
       q.kind == QueryKind::kEstimate && !q.has_trial_range() &&
-      q.trials > options_.brownout_min_trials) {
-    const auto kept = static_cast<unsigned>(std::ceil(
-        static_cast<double>(q.trials) * options_.brownout_keep));
-    d.trials = std::clamp(kept, options_.brownout_min_trials, q.trials - 1);
+      q.trials > kBrownoutMinTrials) {
+    const auto kept = static_cast<unsigned>(
+        std::ceil(static_cast<double>(q.trials) * kBrownoutKeep));
+    d.trials = std::clamp(kept, kBrownoutMinTrials, q.trials - 1);
     d.brownout = true;
     ++counters_.brownouts;
     brownout_counter().inc();
@@ -299,13 +309,12 @@ Guard::Counters Guard::counters() const {
 Json Guard::to_json() const {
   std::lock_guard lock(mutex_);
   Json doc = Json::object();
-  doc["enabled"] = true;
   doc["cost_budget"] = options_.cost_budget;
   doc["limit"] = static_cast<std::uint64_t>(limit_);
   doc["pending_cost"] = pending_cost_;
   doc["pressure"] =
       limit_ > 0.0 ? static_cast<double>(pending_cost_) / limit_ : 0.0;
-  doc["adaptive"] = options_.adaptive && execute_hist_ != nullptr;
+  doc["adaptive"] = runs_aimd();
   doc["clients"] = clients_.size();
   doc["admitted"] = counters_.admitted;
   doc["shed_backlog"] = counters_.shed_backlog;

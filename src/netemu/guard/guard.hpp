@@ -1,7 +1,10 @@
 #pragma once
 // netemu::guard — overload protection for the query service.
 //
-// Four cooperating pieces (docs/GUARD.md):
+// The guard is the executor's only admission gate.  Its backlog check
+// always runs; the other three pieces are each selected by their own
+// option value and are off by default, so a default guard sheds unit-cost
+// queries exactly like a request counter would (docs/GUARD.md):
 //
 //  * cost-model admission: the executor admits estimated work units
 //    (guard/cost.hpp), not query count, so one huge estimate and one
@@ -64,49 +67,34 @@ class DrainRate {
 };
 
 struct Options {
-  /// Master switch.  Off: the executor keeps its plain max_queue counter
-  /// and none of the per-client machinery runs (library default, so
-  /// embedded executors and existing tests keep seed behavior).
-  bool enabled = false;
-
-  /// Admission budget in cost units (guard/cost.hpp).  0 derives
-  /// 8 x max_queue from the executor's options — eight closed-form units
-  /// per legacy queue slot.
-  std::uint64_t cost_budget = 0;
+  /// Admission budget in cost units (guard/cost.hpp).  With unit costs and
+  /// every mechanism below at its default, the backlog check sheds iff
+  /// pending queries >= cost_budget.
+  std::uint64_t cost_budget = 64;
 
   /// One client's in-flight cost may not exceed this fraction of the
   /// effective limit while other work is pending (fair-share isolation).
-  double client_share = 0.5;
+  /// 1.0 is never binding: the backlog check fires first.
+  double client_share = 1.0;
 
-  /// Per-client token bucket: average admission rate in units/second.
-  /// 0 disables rate limiting.  A query costing more than the remaining
-  /// tokens is admitted into debt (the bucket floor is -burst), so a huge
-  /// estimate is paid off over time instead of being unservable.
+  /// Per-client token bucket: average admission rate in units/second, with
+  /// a burst depth of two seconds of refill.  0 disables rate limiting.  A
+  /// query costing more than the remaining tokens is admitted into debt
+  /// (the bucket floor is -burst), so a huge estimate is paid off over time
+  /// instead of being unservable.
   double rate_units_per_s = 0.0;
-  /// Bucket depth; 0 = two seconds of refill.
-  double rate_burst_units = 0.0;
 
   /// Bounded client map: least-recently-seen idle clients are evicted past
   /// this many (their bucket state resets — acceptable for strangers).
   std::size_t max_clients = 1024;
 
-  /// AIMD adaptive concurrency.  `adaptive` is the kill switch: off pins
-  /// the effective limit to cost_budget.
-  bool adaptive = true;
-  double target_p95_ms = 250.0;        ///< execute-latency target
-  std::uint64_t adjust_interval_ms = 100;
-  std::uint64_t adjust_min_samples = 8;  ///< skip adjust on thinner windows
-  double decrease_factor = 0.7;        ///< multiplicative decrease
-  double increase_fraction = 0.05;     ///< additive increase, x cost_budget
-  double limit_floor = 0.125;          ///< x cost_budget
-  double limit_ceiling = 2.0;          ///< x cost_budget
+  /// AIMD adaptive concurrency: the effective limit follows this
+  /// execute-latency target.  0 pins the limit to cost_budget.
+  double target_p95_ms = 0.0;
 
-  /// Brownout: above this pressure (pending cost / effective limit),
-  /// estimate queries run a reduced sweep instead of their full trials.
-  bool brownout = true;
-  double brownout_pressure = 0.75;
-  double brownout_keep = 0.25;         ///< fraction of trials kept
-  unsigned brownout_min_trials = 1;
+  /// Brownout: under pressure, estimate queries run a reduced sweep
+  /// instead of their full trials.
+  bool brownout = false;
 
   /// Test hook: monotonic milliseconds.  Unset = steady_clock.
   std::function<std::uint64_t()> clock_ms;
@@ -162,7 +150,7 @@ class Guard {
   };
   Counters counters() const;
 
-  /// Health-report block: enabled, limit, pending, pressure, counters.
+  /// Health-report block: budget, limit, pending, pressure, counters.
   Json to_json() const;
 
   const Options& options() const { return options_; }
@@ -175,6 +163,11 @@ class Guard {
     std::uint64_t last_seen_ms = 0;
   };
 
+  /// AIMD runs iff a latency target is set and there is a histogram to
+  /// read it from.
+  bool runs_aimd() const {
+    return options_.target_p95_ms > 0.0 && execute_hist_ != nullptr;
+  }
   std::uint64_t now_ms() const;
   ClientState& client_state_locked(const std::string& client,
                                    std::uint64_t now);
@@ -189,6 +182,7 @@ class Guard {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, ClientState> clients_;
   std::uint64_t pending_cost_ = 0;
+  double burst_units_ = 0.0;  ///< token-bucket depth (0 = no rate limit)
   double limit_ = 0.0;  ///< AIMD-effective cost limit
   Counters counters_;
   std::uint64_t last_adjust_ms_ = 0;

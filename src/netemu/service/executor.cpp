@@ -86,7 +86,9 @@ QueryExecutor::QueryExecutor(Options options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity, options_.cache_file,
              options_.cache_journal),
-      pool_(options_.threads) {
+      guard_(options_.guard, &execute_us_hist()),
+      pool_(options_.threads),
+      sched_(pool_, guard::FairScheduler::Options{}) {
   if (!options_.compute) {
     // Pass the executor's own pool down so estimate trials run concurrently;
     // measure_throughput's collaborative loop makes that safe even though
@@ -97,21 +99,6 @@ QueryExecutor::QueryExecutor(Options options)
   }
   if (options_.faults) cache_.set_fault_injector(options_.faults);
   if (options_.load_cache && !options_.cache_file.empty()) cache_.load();
-  if (options_.guard.enabled) {
-    guard::Options gopts = options_.guard;
-    if (gopts.cost_budget == 0) {
-      // Eight closed-form units per legacy queue slot: the cost gate starts
-      // roomier than the count gate for cheap queries and far tighter for
-      // heavy estimates, which is the point.
-      gopts.cost_budget =
-          8 * static_cast<std::uint64_t>(
-                  std::max<std::size_t>(1, options_.max_queue));
-    }
-    guard_ = std::make_unique<guard::Guard>(std::move(gopts),
-                                            &execute_us_hist());
-    sched_ = std::make_unique<guard::FairScheduler>(
-        pool_, guard::FairScheduler::Options{});
-  }
   if (options_.hang_timeout_ms > 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
@@ -126,7 +113,7 @@ QueryExecutor::~QueryExecutor() {
   if (watchdog_.joinable()) watchdog_.join();
   // Queued-but-unstarted tasks answer their waiters before the pool goes
   // away; tasks already on a worker drain below.
-  if (sched_) sched_->shed_queued();
+  sched_.shed_queued();
   // Drain in-flight work first so every accepted computation lands in the
   // cache before it is persisted.
   pool_.shutdown();
@@ -144,25 +131,18 @@ void QueryExecutor::watchdog_loop() {
     if (watchdog_stop_) return;
     const auto now = Clock::now();
     std::vector<std::shared_ptr<Flight>> hung;
-    for (auto it = flights_.begin(); it != flights_.end();) {
-      Flight& f = *it->second;
-      if (!f.abandoned && now - f.started > timeout) {
-        f.abandoned = true;
-        // Fire the flight's CancelSource so a cooperative compute actually
-        // stops (within one check quantum) instead of burning a worker
-        // until it finishes into an abandoned flight.
-        f.cancel.request_cancel();
-        ++stats_.hung;
-        --pending_;  // free the admission slot its leader occupied
-        pending_cost_units_ -= std::min(pending_cost_units_, f.cost);
-        hung.push_back(it->second);
-        it = flights_.erase(it);
-      } else {
-        ++it;
-      }
+    for (const auto& [key, flight] : flights_) {
+      if (now - flight->started > timeout) hung.push_back(flight);
     }
     if (hung.empty()) continue;
     for (const auto& flight : hung) {
+      // Fire the flight's CancelSource so a cooperative compute actually
+      // stops (within one check quantum) instead of burning a worker
+      // until it finishes into an abandoned flight.
+      flight->cancel.request_cancel();
+      ++stats_.hung;
+      // Return the guard charge now, not when (if) the compute returns.
+      retire_locked(*flight, /*ran=*/false);
       watchdog_counter().inc();
       scope::FlightRecorder::global().record(
           scope::FlightRecorder::Kind::kWatchdog, flight->trace_id,
@@ -298,46 +278,28 @@ Response QueryExecutor::execute(const Query& q) {
         response.overloaded = true;
         return finish(response);
       }
-      if (pending_ >= options_.max_queue) {
+      const guard::Guard::Decision decision = guard_.admit(client, q, cost);
+      if (!decision.admit) {
         ++stats_.rejected;
         shed_counter().inc();
         scope::FlightRecorder::global().record(
             scope::FlightRecorder::Kind::kShed, tid,
-            "admission queue full: pending=" + std::to_string(pending_) +
-                " key=" + hex64(key));
+            "guard shed (" + decision.reason + "): client=" + client +
+                " cost=" + std::to_string(cost) + " key=" + hex64(key));
         exec_span.set_note("shed");
-        response.error = "overloaded: admission queue full";
+        response.error = "overloaded: " + decision.reason;
         response.overloaded = true;
-        response.retry_after_ms = drain_rate_.hint_ms(
-            static_cast<double>(pending_cost_units_),
-            options_.retry_after_hint_ms);
+        // Rate-limit sheds carry a token-refill hint; backlog/share sheds
+        // scale with how long the admitted cost takes to drain.
+        response.retry_after_ms =
+            decision.retry_after_ms != 0
+                ? decision.retry_after_ms
+                : drain_rate_.hint_ms(
+                      static_cast<double>(guard_.pending_cost()),
+                      options_.retry_after_hint_ms);
         return finish(response);
       }
-      if (guard_) {
-        const guard::Guard::Decision decision =
-            guard_->admit(client, q, cost);
-        if (!decision.admit) {
-          ++stats_.rejected;
-          shed_counter().inc();
-          scope::FlightRecorder::global().record(
-              scope::FlightRecorder::Kind::kShed, tid,
-              "guard shed (" + decision.reason + "): client=" + client +
-                  " cost=" + std::to_string(cost) + " key=" + hex64(key));
-          exec_span.set_note("shed");
-          response.error = "overloaded: " + decision.reason;
-          response.overloaded = true;
-          // Rate-limit sheds carry a token-refill hint; backlog/share sheds
-          // scale with how long the admitted cost takes to drain.
-          response.retry_after_ms =
-              decision.retry_after_ms != 0
-                  ? decision.retry_after_ms
-                  : drain_rate_.hint_ms(
-                        static_cast<double>(pending_cost_units_),
-                        options_.retry_after_hint_ms);
-          return finish(response);
-        }
-        if (decision.brownout) brownout_trials = decision.trials;
-      }
+      brownout_trials = decision.trials;  // 0 unless browned out
       flight = std::make_shared<Flight>();
       flight->started = start;
       flight->key = key;
@@ -349,8 +311,6 @@ Response QueryExecutor::execute(const Query& q) {
       // token can be checked concurrently (CancelSource's arm contract).
       flight->cancel.set_deadline_after_ms(deadline_ms);
       flights_[key] = flight;
-      ++pending_;
-      pending_cost_units_ += cost;
       leader = true;
     }
   }
@@ -467,17 +427,9 @@ Response QueryExecutor::execute(const Query& q) {
           drain_rate_.note(compute_micros / 1000.0, flight->cost,
                            pool_.size());
         }
-        // The watchdog may have abandoned this flight (erasing it and
-        // freeing its slot); only unregister what is still registered, and
-        // never double-decrement pending_.
-        const auto it = flights_.find(key);
-        if (it != flights_.end() && it->second == flight) {
-          flights_.erase(it);
-          --pending_;
-          pending_cost_units_ -= std::min(pending_cost_units_, flight->cost);
-        }
+        // No-op when the watchdog already abandoned this flight.
+        retire_locked(*flight, /*ran=*/true);
       }
-      if (guard_) guard_->complete(flight->client, flight->cost);
       // A completed brownout answers as a degraded partial of the FULL
       // request: trials echoes what was asked, trials_completed what ran.
       // Set after the cancellation accounting above — a brownout is a
@@ -511,39 +463,14 @@ Response QueryExecutor::execute(const Query& q) {
       }
       flight->cv.notify_all();
     };
-    if (sched_) {
-      // Guard mode: the fair scheduler owns dispatch order (DRR across
-      // clients).  If the task is shed before it starts (drain, shutdown),
-      // the flight's waiters — this leader included — get an overloaded
-      // response through the shed callback and the wait below returns.
-      sched_->submit(flight->client, cost, std::move(task),
-                     [this, flight, key, tid] {
-                       shed_unstarted_flight(flight, key, tid);
-                     });
-    } else if (!pool_.submit(std::move(task))) {
-      {
-        std::lock_guard lock(mutex_);
-        const auto it = flights_.find(key);
-        if (it != flights_.end() && it->second == flight) {
-          flights_.erase(it);
-          --pending_;
-          pending_cost_units_ -= std::min(pending_cost_units_, flight->cost);
-        }
-        if (flight->waiters > 0) --flight->waiters;
-        ++stats_.rejected;
-      }
-      // Wake any follower that joined between registration and rejection.
-      {
-        std::lock_guard flight_lock(flight->mutex);
-        if (!flight->done) {
-          flight->response.error = "executor shutting down";
-          flight->done = true;
-        }
-      }
-      flight->cv.notify_all();
-      response.error = "executor shutting down";
-      return finish(response);
-    }
+    // The fair scheduler owns dispatch order (DRR across clients).  If the
+    // task is shed before it starts (drain, shutdown), the flight's
+    // waiters — this leader included — get an overloaded response through
+    // the shed callback and the wait below returns.
+    sched_.submit(flight->client, cost, std::move(task),
+                  [this, flight, key, tid] {
+                    shed_unstarted_flight(flight, key, tid);
+                  });
   }
 
   // Waiters linger a short grace past the deadline: the compute token fires
@@ -635,15 +562,9 @@ void QueryExecutor::shed_unstarted_flight(
   {
     std::lock_guard lock(mutex_);
     was_draining = draining_;
-    const auto it = flights_.find(key);
-    if (it != flights_.end() && it->second == flight) {
-      flights_.erase(it);
-      --pending_;
-      pending_cost_units_ -= std::min(pending_cost_units_, flight->cost);
-    }
+    retire_locked(*flight, /*ran=*/false);
     ++stats_.rejected;
   }
-  if (guard_) guard_->release(flight->client, flight->cost);
   shed_counter().inc();
   scope::FlightRecorder::global().record(
       scope::FlightRecorder::Kind::kShed, tid,
@@ -671,7 +592,7 @@ void QueryExecutor::begin_drain() {
   }
   // Queued-but-unstarted flights answer "draining" now instead of running:
   // drain exists to finish what is running, not to start new work.
-  if (sched_) sched_->shed_queued();
+  sched_.shed_queued();
   scope::FlightRecorder::global().record(scope::FlightRecorder::Kind::kInfo,
                                          0, "executor draining");
 }
@@ -696,14 +617,22 @@ QueryExecutor::ComputeTimes QueryExecutor::compute_times() const {
   return t;
 }
 
-double QueryExecutor::pressure() const {
-  return guard_ ? guard_->pressure() : 0.0;
+void QueryExecutor::retire_locked(Flight& flight, bool ran) {
+  if (flight.retired) return;
+  flight.retired = true;
+  // Only retire_locked unregisters, so an unretired flight still owns its
+  // key's slot in flights_.
+  flights_.erase(flight.key);
+  if (ran) {
+    guard_.complete(flight.client, flight.cost);
+  } else {
+    guard_.release(flight.client, flight.cost);
+  }
 }
 
-std::size_t QueryExecutor::pending() const {
-  std::lock_guard lock(mutex_);
-  return pending_;
-}
+double QueryExecutor::pressure() const { return guard_.pressure(); }
+
+std::size_t QueryExecutor::pending() const { return active_flights(); }
 
 std::size_t QueryExecutor::active_flights() const {
   std::lock_guard lock(mutex_);

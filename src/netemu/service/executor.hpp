@@ -4,10 +4,11 @@
 //   execute(query)
 //     ├─ cache hit  ──────────────────────────────► O(1) answer
 //     ├─ identical query already in flight ───────► join it (single-flight)
-//     ├─ admission queue full ────────────────────► shed: "overloaded" +
-//     │                                             retry_after_ms hint
-//     └─ otherwise: run plan_query() on the pool, publish to every waiter,
-//        store the result under its content address.
+//     ├─ guard refuses (cost budget full, ───────► shed: "overloaded" +
+//     │  client over share or rate limited)        retry_after_ms hint
+//     └─ otherwise: queue on the fair scheduler, run plan_query() on the
+//        pool, publish to every waiter, store the result under its
+//        content address.
 //
 // Single-flight matters because the expensive queries are the memoizable
 // ones: a thundering herd of identical `estimate` requests triggers exactly
@@ -17,7 +18,7 @@
 //
 // Resilience (netemu::faultline integration):
 //  * a watchdog thread cancels flights older than hang_timeout_ms — waiters
-//    get a "hung" error, the admission slot is freed immediately, AND the
+//    get a "hung" error, the guard charge is returned immediately, AND the
 //    flight's CancelSource fires so a cooperative compute unwinds within one
 //    check quantum instead of burning a pool worker until completion;
 //  * cooperative cancellation end-to-end (docs/LIFECYCLE.md): every flight
@@ -75,7 +76,6 @@ class QueryExecutor {
  public:
   struct Options {
     std::size_t threads = 0;        ///< worker threads; 0 = hardware
-    std::size_t max_queue = 64;     ///< max queries queued or running
     std::uint64_t default_deadline_ms = 30000;
     std::size_t cache_capacity = 4096;
     std::string cache_file;         ///< empty = memory-only cache
@@ -84,7 +84,7 @@ class QueryExecutor {
     /// SIGKILL'd process rejoins warm (see ResultCache).  Needs cache_file.
     bool cache_journal = false;
     /// Flights older than this are cancelled by the watchdog (waiters get
-    /// an error, the admission slot is freed).  0 disables the watchdog.
+    /// an error, the guard charge is returned).  0 disables the watchdog.
     std::uint64_t hang_timeout_ms = 0;
     /// Backoff hint attached to shed ("overloaded") responses.  Used as-is
     /// until the executor has completed at least one compute; after that the
@@ -106,11 +106,9 @@ class QueryExecutor {
     /// "degraded": true (see plan_query); compute that ignores it merely
     /// keeps the pre-cancellation behavior.
     std::function<Json(const Query&, const CancelToken&)> compute;
-    /// Overload guard (netemu::guard): cost-model admission, per-client
-    /// token buckets + fair-share caps, DRR dispatch, AIMD limit, brownout.
-    /// Disabled by default — embedded executors keep the plain max_queue
-    /// counter.  When enabled with cost_budget == 0, the budget derives as
-    /// 8 x max_queue cost units.
+    /// Admission (netemu::guard), the one gate every new flight passes.
+    /// The defaults shed on cost backlog alone; fair-share caps, token
+    /// buckets, AIMD and brownout are each selected by their own setting.
     guard::Options guard;
   };
 
@@ -178,7 +176,7 @@ class QueryExecutor {
   };
   ComputeTimes compute_times() const;
 
-  /// Queries queued or running (the admission counter).
+  /// Leader flights queued or running.
   std::size_t pending() const;
   /// Flights currently registered (single-flight map size).
   std::size_t active_flights() const;
@@ -187,10 +185,10 @@ class QueryExecutor {
 
   const Options& options() const { return options_; }
 
-  /// The overload guard, or nullptr when Options::guard.enabled is false.
-  const guard::Guard* overload_guard() const { return guard_.get(); }
-  /// Guard pressure (pending admitted cost / effective limit); 0 without a
-  /// guard.  >= 1.0 means the admission gate is effectively closed.
+  /// The admission guard (never null).
+  const guard::Guard* overload_guard() const { return &guard_; }
+  /// Guard pressure (pending admitted cost / effective limit).  >= 1.0
+  /// means the admission gate is effectively closed.
   double pressure() const;
 
   ResultCache& cache() { return cache_; }
@@ -211,7 +209,8 @@ class QueryExecutor {
     std::uint64_t trace_id = 0;     // leader's trace id (immutable)
     std::uint64_t cost = 0;         // admission cost units (immutable)
     std::string client;             // leader's client identity (immutable)
-    bool abandoned = false;     // guarded by the executor mutex_
+    // Unregistered and un-charged; guarded by the executor mutex_.
+    bool retired = false;
     // Deadline armed at creation (before the compute task exists); fired by
     // the watchdog, the last departing waiter, cancel_trace, or cancel_all.
     CancelSource cancel;
@@ -219,9 +218,13 @@ class QueryExecutor {
   };
 
   void watchdog_loop();
+  /// Unregister a flight and return its guard charge, exactly once: the
+  /// watchdog, the finishing task and the shed callback may each reach here
+  /// for the same flight.  `ran` feeds the guard's latency controller.
+  /// Caller holds mutex_.
+  void retire_locked(Flight& flight, bool ran);
   /// Answer a queued-but-never-started flight (drain shed, pool refusal):
-  /// unregister it, un-charge the guard, and publish an overloaded/draining
-  /// response to its waiters.
+  /// retire it and publish an overloaded/draining response to its waiters.
   void shed_unstarted_flight(const std::shared_ptr<Flight>& flight,
                              std::uint64_t key, std::uint64_t tid);
 
@@ -231,15 +234,13 @@ class QueryExecutor {
 
   void record_compute_micros(double micros);
 
-  mutable std::mutex mutex_;  // guards flights_, pending_, stats_,
-                              // draining_, drain_rate_
+  mutable std::mutex mutex_;  // guards flights_, stats_, draining_,
+                              // drain_rate_
   std::map<std::uint64_t, std::shared_ptr<Flight>> flights_;
-  std::size_t pending_ = 0;
-  std::uint64_t pending_cost_units_ = 0;  // sum of cost over leader flights
   Stats stats_;
   bool draining_ = false;
   guard::DrainRate drain_rate_;  // feeds dynamic retry_after_ms hints
-  std::unique_ptr<guard::Guard> guard_;  // null when Options::guard disabled
+  guard::Guard guard_;  // the pending-cost ledger; its own lock
   scope::Histogram compute_us_;  // lock-free; written by workers, read by
                                  // compute_times() without mutex_
 
@@ -247,13 +248,12 @@ class QueryExecutor {
   bool watchdog_stop_ = false;  // guarded by mutex_
   std::thread watchdog_;
 
-  // Declared last: destroyed (drained) first, while cache_ and flights_ are
-  // still alive for in-flight tasks to publish into.  sched_ sits between
-  // execute() and pool_ when the guard is enabled; its dispatch callbacks
-  // run on pool threads, so it is declared before pool_ (outlives the
-  // drain) and its queue is shed in the destructor before pool shutdown.
-  std::unique_ptr<guard::FairScheduler> sched_;
+  // Declared last: the destructor sheds sched_'s queue and drains pool_
+  // while cache_ and flights_ are still alive for in-flight tasks to
+  // publish into.  sched_ sits between execute() and pool_ and needs the
+  // pool at construction, so it follows it.
   ThreadPool pool_;
+  guard::FairScheduler sched_;
 };
 
 }  // namespace netemu

@@ -91,13 +91,14 @@ std::string events_line() {
 
 std::string health_line(QueryExecutor& exec) {
   const QueryExecutor::Stats s = exec.stats();
-  const std::size_t pending = exec.pending();
-  const std::size_t max_queue = exec.options().max_queue;
+  const guard::Guard& guard = *exec.overload_guard();
 
   Json pool = Json::object();
   pool["threads"] = exec.pool().size();
-  pool["pending"] = pending;
-  pool["max_queue"] = max_queue;
+  pool["pending"] = exec.pending();
+  // The field name predates cost units; readers poll it as the admission
+  // bound, which is the cost budget.
+  pool["max_queue"] = guard.options().cost_budget;
 
   Json cache = Json::object();
   cache["size"] = exec.cache().size();
@@ -134,31 +135,19 @@ std::string health_line(QueryExecutor& exec) {
   compute["sim_messages_total"] = simulated_messages_total();
   compute["epoch_unix_s"] = scope::process_epoch_unix_s();
 
-  // Overload pressure for fleet routing: with a guard, pending admitted
-  // cost over the effective limit; without one, queue occupancy.  >= 1.0
-  // means the admission gate is effectively closed.
-  const double pressure =
-      exec.overload_guard()
-          ? exec.pressure()
-          : (max_queue > 0 ? static_cast<double>(pending) /
-                                 static_cast<double>(max_queue)
-                           : 0.0);
+  // Overload pressure for fleet routing: pending admitted cost over the
+  // guard's effective limit.  >= 1.0 means the admission gate is
+  // effectively closed.
+  const double pressure = guard.pressure();
 
   Json result = Json::object();
   // Draining outranks overloaded: a drained backend is going away, and a
   // fleet probe that sees it should route new work elsewhere.
-  result["status"] = exec.draining()                          ? "draining"
-                     : (pending >= max_queue || pressure >= 1.0)
-                         ? "overloaded"
-                         : "ok";
+  result["status"] = exec.draining()   ? "draining"
+                     : pressure >= 1.0 ? "overloaded"
+                                       : "ok";
   result["pressure"] = pressure;
-  if (const guard::Guard* g = exec.overload_guard()) {
-    result["guard"] = g->to_json();
-  } else {
-    Json off = Json::object();
-    off["enabled"] = false;
-    result["guard"] = std::move(off);
-  }
+  result["guard"] = guard.to_json();
   result["uptime_s"] = exec.uptime_seconds();
   result["pool"] = std::move(pool);
   result["cache"] = std::move(cache);

@@ -250,9 +250,7 @@ TEST(DrainOverload, DrainingOutranksGuardShedsAndCarriesNoHint) {
   // fail over), not a guard shed with a backoff hint that invites retries.
   QueryExecutor::Options options;
   options.threads = 1;
-  options.guard.enabled = true;
   options.guard.cost_budget = 1;  // the gate is trivially full once busy
-  options.guard.adaptive = false;
   options.compute = [](const Query& q, const CancelToken&) {
     Json doc = Json::object();
     doc["n"] = q.n;
@@ -274,8 +272,6 @@ TEST(DrainOverload, QueuedUnstartedFlightsShedWhenDrainBegins) {
   // flight must answer "draining" immediately instead of starting.
   QueryExecutor::Options options;
   options.threads = 1;  // one worker, so a second flight parks in the queue
-  options.guard.enabled = true;
-  options.guard.adaptive = false;
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
   bool gate_open = false;

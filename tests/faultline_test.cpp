@@ -394,7 +394,7 @@ TEST(ExecutorFaults, WatchdogCancelsHungFlightAndFreesSlot) {
   auto calls = std::make_shared<std::atomic<int>>(0);
   QueryExecutor::Options options;
   options.threads = 2;
-  options.max_queue = 1;
+  options.guard.cost_budget = 1;
   options.hang_timeout_ms = 60;
   options.compute = [gate_future, calls](const Query& q, const CancelToken&) {
     if (calls->fetch_add(1) == 0) gate_future->wait();  // first call hangs
@@ -416,7 +416,7 @@ TEST(ExecutorFaults, WatchdogCancelsHungFlightAndFreesSlot) {
   EXPECT_LT(elapsed, 2000.0);  // the watchdog beat the 5s deadline
   EXPECT_EQ(executor.stats().hung, 1u);
 
-  // The admission slot was freed: with max_queue=1 a new query is accepted.
+  // The admission slot was freed: with cost_budget=1 a new query is accepted.
   EXPECT_EQ(executor.pending(), 0u);
   const Response next = executor.execute(bandwidth_query(128));
   EXPECT_TRUE(next.ok) << next.error;
@@ -428,6 +428,105 @@ TEST(ExecutorFaults, WatchdogCancelsHungFlightAndFreesSlot) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_TRUE(executor.cache().get(hung.cache_key()).has_value());
+}
+
+TEST(ExecutorFaults, WatchdogFreesSlotWithShareAimdAndBrownoutOn) {
+  // The same budget-1 "slot freed" case with every optional admission
+  // mechanism on: the abandoned flight's charge must come back at
+  // abandonment, not when its compute finally returns.
+  auto gate = std::make_shared<std::promise<void>>();
+  auto gate_future =
+      std::make_shared<std::shared_future<void>>(gate->get_future());
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  QueryExecutor::Options options;
+  options.threads = 2;
+  options.guard.cost_budget = 1;
+  options.guard.client_share = 0.5;
+  options.guard.target_p95_ms = 250;
+  options.guard.brownout = true;
+  options.hang_timeout_ms = 60;
+  options.compute = [gate_future, calls](const Query& q, const CancelToken&) {
+    if (calls->fetch_add(1) == 0) gate_future->wait();  // first call hangs
+    Json doc = Json::object();
+    doc["n"] = q.n;
+    return doc;
+  };
+  QueryExecutor executor(std::move(options));
+
+  Query hung = bandwidth_query(64);
+  hung.deadline_ms = 5000;
+  const Response r = executor.execute(hung);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("hung"), std::string::npos) << r.error;
+  EXPECT_EQ(executor.pending(), 0u);
+  EXPECT_EQ(executor.overload_guard()->pending_cost(), 0u);
+  const Response next = executor.execute(bandwidth_query(128));
+  EXPECT_TRUE(next.ok) << next.error;
+
+  gate->set_value();
+  for (int i = 0; i < 200 && executor.stats().computed < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(executor.stats().computed, 2u);
+  EXPECT_EQ(executor.overload_guard()->pending_cost(), 0u);
+}
+
+TEST(ExecutorFaults, WatchdogReturnsTheGuardChargeExactlyOnce) {
+  // Budget 2: the abandoned flight returns its unit at abandonment and a
+  // second flight takes one.  When the hung compute finally returns it
+  // must not return its unit again, or the ledger would read 0 with the
+  // second flight still running.
+  auto hung_gate = std::make_shared<std::promise<void>>();
+  auto hung_future =
+      std::make_shared<std::shared_future<void>>(hung_gate->get_future());
+  auto second_gate = std::make_shared<std::promise<void>>();
+  auto second_future =
+      std::make_shared<std::shared_future<void>>(second_gate->get_future());
+  QueryExecutor::Options options;
+  options.threads = 2;
+  options.guard.cost_budget = 2;
+  // Long enough that the second flight is never abandoned while the test
+  // inspects the ledger.
+  options.hang_timeout_ms = 500;
+  options.compute = [hung_future, second_future](const Query& q,
+                                                 const CancelToken&) {
+    if (q.n == 64) hung_future->wait();
+    if (q.n == 128) second_future->wait();
+    Json doc = Json::object();
+    doc["n"] = q.n;
+    return doc;
+  };
+  QueryExecutor executor(std::move(options));
+  const guard::Guard& guard = *executor.overload_guard();
+
+  Query hung = bandwidth_query(64);
+  hung.deadline_ms = 5000;
+  const Response r = executor.execute(hung);
+  EXPECT_NE(r.error.find("hung"), std::string::npos) << r.error;
+  EXPECT_EQ(guard.pending_cost(), 0u);
+
+  Response second;
+  std::thread waiter([&] { second = executor.execute(bandwidth_query(128)); });
+  for (int i = 0; i < 2000 && executor.pending() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(executor.pending(), 1u);
+  EXPECT_EQ(guard.pending_cost(), 1u);
+
+  // The hung compute returns; its completion is accounted (computed) under
+  // the same lock that would return its charge a second time.
+  hung_gate->set_value();
+  for (int i = 0; i < 2000 && executor.stats().computed < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(executor.stats().computed, 1u);
+  EXPECT_EQ(executor.stats().hung, 1u);  // the second flight still runs
+  EXPECT_EQ(guard.pending_cost(), 1u);
+
+  second_gate->set_value();
+  waiter.join();
+  EXPECT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(guard.pending_cost(), 0u);
 }
 
 TEST(ExecutorFaults, RefreshBypassesCacheAndRecomputes) {
@@ -494,7 +593,7 @@ TEST(ExecutorFaults, ShedResponseCarriesRetryAfterHint) {
       std::make_shared<std::shared_future<void>>(gate->get_future());
   QueryExecutor::Options options;
   options.threads = 1;
-  options.max_queue = 1;
+  options.guard.cost_budget = 1;
   options.retry_after_hint_ms = 75;
   options.compute = [started, gate_future](const Query&, const CancelToken&) {
     started->set_value();
@@ -542,7 +641,7 @@ TEST(ExecutorFaults, InjectedWorkerStallsAreAbsorbed) {
 TEST(Protocol, HealthReportsPoolCacheAndShedState) {
   QueryExecutor::Options options;
   options.threads = 2;
-  options.max_queue = 16;
+  options.guard.cost_budget = 16;
   options.retry_after_hint_ms = 33;
   options.compute = [](const Query&, const CancelToken&) { return Json::object(); };
   QueryExecutor executor(std::move(options));
@@ -643,7 +742,7 @@ TEST(ClientRetry, HonorsOverloadedRetryAfterHint) {
   auto first = std::make_shared<std::atomic<bool>>(true);
   QueryExecutor::Options options;
   options.threads = 1;
-  options.max_queue = 1;
+  options.guard.cost_budget = 1;
   options.retry_after_hint_ms = 20;
   options.compute = [started, gate_future, first](const Query& q, const CancelToken&) {
     if (first->exchange(false)) {
@@ -729,7 +828,7 @@ TEST(ChaosSoak, MultiSeedRoundTripsLoseNothing) {
     {
       QueryExecutor::Options options;
       options.threads = 2;
-      options.max_queue = 32;
+      options.guard.cost_budget = 32;
       options.hang_timeout_ms = 2000;
       options.cache_file = cache_path;
       options.faults = &injector;

@@ -3,7 +3,8 @@
 // retry_after_ms, the Guard decision box (backlog / fair-share / rate-limit
 // admission, brownout, AIMD limit adaptation, bounded client tracking), the
 // weighted-DRR fair scheduler, and the executor integration (shed shapes,
-// brownout responses staying out of the cache).
+// brownout responses staying out of the cache, count-gate parity of the
+// default options).
 
 #include <gtest/gtest.h>
 
@@ -11,9 +12,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <mutex>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "netemu/guard/cost.hpp"
@@ -117,9 +122,7 @@ TEST(DrainRate, ParallelWorkersDrainFaster) {
 
 TEST(GuardAdmit, EmptyExecutorAdmitsAnything) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
-  opts.adaptive = false;
   guard::Guard guard(opts, nullptr);
 
   // The biggest legal estimate must stay servable when nothing competes,
@@ -135,9 +138,7 @@ TEST(GuardAdmit, EmptyExecutorAdmitsAnything) {
 
 TEST(GuardAdmit, BacklogShedsOnceWorkIsPending) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
-  opts.adaptive = false;
   guard::Guard guard(opts, nullptr);
 
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 90).admit);
@@ -155,10 +156,8 @@ TEST(GuardAdmit, BacklogShedsOnceWorkIsPending) {
 
 TEST(GuardAdmit, FairShareCapsOneClientNotTheOthers) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.client_share = 0.5;  // one client may hold at most 50 units
-  opts.adaptive = false;
   guard::Guard guard(opts, nullptr);
 
   ASSERT_TRUE(guard.admit("greedy", closed_form_query(), 40).admit);
@@ -177,10 +176,8 @@ TEST(GuardAdmit, FairShareCapsOneClientNotTheOthers) {
 TEST(GuardAdmit, RateLimitRefillsOverFakeTime) {
   std::uint64_t now = 0;
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 1000;
   opts.rate_units_per_s = 10.0;  // burst defaults to 2 s of refill = 20
-  opts.adaptive = false;
   opts.clock_ms = [&now] { return now; };
   guard::Guard guard(opts, nullptr);
 
@@ -203,9 +200,7 @@ TEST(GuardAdmit, RateLimitRefillsOverFakeTime) {
 
 TEST(GuardAdmit, ReleaseUnchargesWithoutControllerFeedback) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
-  opts.adaptive = false;
   guard::Guard guard(opts, nullptr);
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 60).admit);
   EXPECT_DOUBLE_EQ(guard.pressure(), 0.6);
@@ -216,10 +211,8 @@ TEST(GuardAdmit, ReleaseUnchargesWithoutControllerFeedback) {
 
 TEST(GuardClients, IdleClientsEvictedPastTheCap) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.max_clients = 2;
-  opts.adaptive = false;
   guard::Guard guard(opts, nullptr);
 
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 1).admit);
@@ -236,9 +229,8 @@ TEST(GuardClients, IdleClientsEvictedPastTheCap) {
 
 TEST(GuardBrownout, EstimatesDegradeAbovePressureThreshold) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
-  opts.adaptive = false;  // pin the limit so pressure is exact
+  opts.brownout = true;
   guard::Guard guard(opts, nullptr);
 
   // 80/100 pending puts pressure past the 0.75 default (a closed-form
@@ -260,9 +252,7 @@ TEST(GuardBrownout, EstimatesDegradeAbovePressureThreshold) {
 
 TEST(GuardBrownout, KillSwitchAndLowPressureServeTheFullSweep) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
-  opts.adaptive = false;
   opts.brownout = false;  // kill switch
   guard::Guard off(opts, nullptr);
   ASSERT_TRUE(off.admit("a", closed_form_query(), 80).admit);
@@ -280,11 +270,8 @@ TEST(GuardAimd, LimitTracksTheLatencyTarget) {
   std::uint64_t now = 0;
   scope::Histogram hist;  // stands in for the executor's execute histogram
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.target_p95_ms = 10.0;
-  opts.adjust_interval_ms = 100;
-  opts.adjust_min_samples = 8;
   opts.clock_ms = [&now] { return now; };
   guard::Guard guard(opts, &hist);
   EXPECT_EQ(guard.effective_limit(), 100u);
@@ -313,10 +300,8 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
   std::uint64_t now = 0;
   scope::Histogram hist;
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
-  opts.adjust_interval_ms = 100;
-  opts.adjust_min_samples = 8;
+  opts.target_p95_ms = 250;
   opts.clock_ms = [&now] { return now; };
 
   {
@@ -331,7 +316,7 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
     EXPECT_EQ(guard.effective_limit(), 100u);  // thin window: no vote
   }
   {
-    opts.adaptive = false;  // kill switch pins the limit outright
+    opts.target_p95_ms = 0;  // kill switch pins the limit outright
     guard::Guard guard(opts, &hist);
     for (int i = 0; i < 20; ++i) hist.observe(90000.0);
     now += 1000;
@@ -346,14 +331,11 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
 
 TEST(GuardJson, HealthBlockCarriesTheDials) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
-  opts.adaptive = false;
   guard::Guard guard(opts, nullptr);
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 25).admit);
 
   const Json doc = guard.to_json();
-  EXPECT_TRUE(doc["enabled"].as_bool());
   EXPECT_EQ(doc["cost_budget"].as_uint(0), 100u);
   EXPECT_EQ(doc["limit"].as_uint(0), 100u);
   EXPECT_EQ(doc["pending_cost"].as_uint(99), 25u);
@@ -474,9 +456,7 @@ TEST(ExecutorGuard, ShedResponsesCarryOverloadedAndAHint) {
   QueryExecutor::Options options;
   options.threads = 1;
   options.retry_after_hint_ms = 40;
-  options.guard.enabled = true;
   options.guard.cost_budget = 1;  // one closed-form unit fills the gate
-  options.guard.adaptive = false;
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
   bool gate_open = false;
@@ -515,9 +495,8 @@ TEST(ExecutorGuard, ShedResponsesCarryOverloadedAndAHint) {
 TEST(ExecutorGuard, BrownoutAnswersDegradedAndIsNeverCached) {
   QueryExecutor::Options options;
   options.threads = 2;
-  options.guard.enabled = true;
   options.guard.cost_budget = 12;
-  options.guard.adaptive = false;
+  options.guard.brownout = true;
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
   bool gate_open = false;
@@ -570,4 +549,106 @@ TEST(ExecutorGuard, BrownoutAnswersDegradedAndIsNeverCached) {
   ASSERT_TRUE(again.ok) << again.error;
   EXPECT_FALSE(again.cache_hit);
   EXPECT_FALSE(again.degraded);
+}
+
+// ------------------------------------------------------- count-gate parity
+
+TEST(ExecutorGuard, DefaultsShedExactlyLikeTheCountGate) {
+  // With unit costs, the default admission config is the old request-count
+  // gate: a new flight sheds iff pending >= budget.  A scripted mix of
+  // arrivals and completions from two client identities checks that rule
+  // at every arrival, and that no share cap, brownout or limit change ever
+  // fires under the defaults.
+  for (const std::uint64_t budget : {1u, 3u, 8u}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    QueryExecutor::Options options;
+    options.threads = budget;  // every admitted flight runs at once
+    options.guard.cost_budget = budget;
+    std::mutex gate_mutex;
+    std::condition_variable gate_cv;
+    std::set<double> released;  // n of each flight allowed to finish
+    bool release_all = false;
+    options.compute = [&](const Query& q, const CancelToken&) {
+      std::unique_lock lock(gate_mutex);
+      gate_cv.wait(lock,
+                   [&] { return release_all || released.count(q.n) > 0; });
+      Json doc = Json::object();
+      doc["n"] = q.n;
+      return doc;
+    };
+    QueryExecutor exec(options);
+    std::vector<std::pair<double, std::future<Response>>> in_flight;
+    // Opens every gate on scope exit (after a failed ASSERT too), before
+    // the futures above wait for their flights.
+    struct Opener {
+      std::mutex& m;
+      std::condition_variable& cv;
+      bool& all;
+      ~Opener() {
+        {
+          std::lock_guard lock(m);
+          all = true;
+        }
+        cv.notify_all();
+      }
+    } opener{gate_mutex, gate_cv, release_all};
+
+    std::mt19937 script(static_cast<std::mt19937::result_type>(budget));
+    std::size_t sheds = 0, admits = 0;
+    double next_n = 1000;
+    for (int step = 0; step < 60; ++step) {
+      if (in_flight.empty() || script() % 3 != 0) {
+        Query q = closed_form_query();
+        q.n = next_n++;  // distinct: never a dedup join or a cache hit
+        q.client = script() % 2 == 0 ? "a" : "b";
+        ASSERT_EQ(guard::query_cost(q), 1u);
+        const bool parent_sheds = in_flight.size() >= budget;
+        const std::uint64_t rejected = exec.stats().rejected;
+        auto answer = std::async(std::launch::async,
+                                 [&exec, q] { return exec.execute(q); });
+        ASSERT_TRUE(eventually([&] {
+          return exec.stats().rejected > rejected ||
+                 exec.pending() > in_flight.size();
+        }));
+        const bool shed = exec.stats().rejected > rejected;
+        EXPECT_EQ(shed, parent_sheds)
+            << "step " << step << ", pending " << in_flight.size();
+        if (shed) {
+          const Response r = answer.get();
+          EXPECT_TRUE(r.overloaded);
+          EXPECT_NE(r.error.find("cost budget full"), std::string::npos)
+              << r.error;
+          ++sheds;
+        } else {
+          in_flight.emplace_back(q.n, std::move(answer));
+          ++admits;
+        }
+      } else {
+        const std::size_t pick = script() % in_flight.size();
+        {
+          std::lock_guard lock(gate_mutex);
+          released.insert(in_flight[pick].first);
+        }
+        gate_cv.notify_all();
+        const Response r = in_flight[pick].second.get();
+        EXPECT_TRUE(r.ok) << r.error;
+        in_flight.erase(in_flight.begin() +
+                        static_cast<std::ptrdiff_t>(pick));
+        EXPECT_EQ(exec.pending(), in_flight.size());
+      }
+    }
+    EXPECT_GT(sheds, 0u);
+    EXPECT_GT(admits, budget);
+
+    const guard::Guard::Counters c = exec.overload_guard()->counters();
+    EXPECT_EQ(c.shed_backlog, sheds);
+    EXPECT_EQ(c.shed_share, 0u);
+    EXPECT_EQ(c.shed_rate, 0u);
+    EXPECT_EQ(c.brownouts, 0u);
+    EXPECT_EQ(c.limit_increases, 0u);
+    EXPECT_EQ(c.limit_decreases, 0u);
+    EXPECT_EQ(exec.overload_guard()->effective_limit(), budget);
+    EXPECT_EQ(exec.stats().browned_out, 0u);
+    EXPECT_EQ(exec.stats().rejected, sheds);
+  }
 }

@@ -453,7 +453,7 @@ TEST(Executor, AdmissionQueueRejectsWhenFull) {
       std::make_shared<std::shared_future<void>>(gate->get_future());
   QueryExecutor::Options options;
   options.threads = 1;
-  options.max_queue = 1;
+  options.guard.cost_budget = 1;
   options.compute = [started, gate_future](const Query&, const CancelToken&) {
     started->set_value();
     gate_future->wait();
