@@ -28,6 +28,7 @@
 #include "netemu/routing/packet_sim.hpp"
 #include "netemu/routing/throughput.hpp"
 #include "netemu/scope/metrics.hpp"
+#include "netemu/topology/factory.hpp"
 #include "netemu/topology/generators.hpp"
 #include "netemu/util/json.hpp"
 
@@ -74,6 +75,38 @@ void BM_BfsRouterCachedPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BfsRouterCachedPath)->Arg(6)->Arg(8);
+
+// Per-message route cost on estimate_cold's three machines (arg 0 =
+// mesh32x32, 1 = butterfly6, 2 = tree9), routed the way measure_throughput
+// routes a batch: symmetric messages into one reused path buffer.
+void BM_RouteAppend(benchmark::State& state) {
+  static constexpr struct {
+    Family family;
+    std::size_t n;
+    unsigned k;
+  } kMachines[] = {{Family::kMesh, 1024, 2},
+                   {Family::kButterfly, 448, 1},
+                   {Family::kTree, 1023, 1}};
+  const auto& shape = kMachines[state.range(0)];
+  Prng rng(4);
+  const Machine m = make_machine(shape.family, shape.n, shape.k, rng);
+  std::vector<Vertex> procs(m.num_processors());
+  for (std::size_t i = 0; i < procs.size(); ++i) procs[i] = m.processor(i);
+  const auto traffic = TrafficDistribution::symmetric(std::move(procs));
+  const auto router = make_default_router(m);
+  const std::vector<Message> msgs = traffic.batch(4096, rng);
+  std::vector<Vertex> path;
+  for (auto _ : state) {
+    for (const Message& msg : msgs) {
+      router->route_append(msg.src, msg.dst, rng, path);
+      benchmark::DoNotOptimize(path.data());
+    }
+  }
+  state.SetLabel(m.name);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(msgs.size()));
+}
+BENCHMARK(BM_RouteAppend)->DenseRange(0, 2);
 
 void BM_PacketBatch(benchmark::State& state) {
   Prng rng(3);

@@ -90,12 +90,6 @@ std::shared_ptr<const BfsRouter::Field> BfsRouter::distance_field(Vertex dst) {
   return field;
 }
 
-std::vector<Vertex> BfsRouter::route(Vertex src, Vertex dst, Prng& rng) {
-  std::vector<Vertex> path;
-  route_append(src, dst, rng, path);
-  return path;
-}
-
 void BfsRouter::route_append(Vertex src, Vertex dst, Prng& rng,
                              std::vector<Vertex>& path) {
   path.clear();

@@ -11,7 +11,7 @@
 // The memo is a bounded FIFO cache: when the byte budget is exceeded the
 // oldest fields are evicted (not the whole map), and fields are handed out
 // as shared_ptr so an eviction never invalidates a field another thread is
-// still descending.  route() is safe to call concurrently — the cache is
+// still descending.  Routing is safe to call concurrently — the cache is
 // mutex-guarded, and a cache hit costs one lock + one hash probe.  Cached
 // or not, the walk draws the same rng sequence, so results depend only on
 // (machine, src, dst, rng state), never on cache history or thread count.
@@ -34,14 +34,13 @@ class BfsRouter final : public Router {
   explicit BfsRouter(const Machine& machine, bool spread = true,
                      std::size_t cache_budget_bytes = 256u << 20);
 
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
   void route_append(Vertex src, Vertex dst, Prng& rng,
                     std::vector<Vertex>& out) override;
   const char* name() const override { return spread_ ? "bfs-random" : "bfs"; }
 
   /// Token polled every kCancelCheckTicks vertex pops inside the
   /// distance-field BFS (the only unbounded prep work).  Set before routing
-  /// starts; copying the token is cheap and route() reads it unsynchronized.
+  /// starts; copying the token is cheap and routing reads it unsynchronized.
   void set_cancel_token(CancelToken cancel) override {
     cancel_ = std::move(cancel);
   }

@@ -7,21 +7,24 @@
 namespace netemu {
 
 ButterflyRouter::ButterflyRouter(const Machine& machine)
-    : d_(machine.shape.at(0)), rows_(ipow(2, machine.shape.at(0))) {
+    : d_(machine.shape.at(0)) {
   assert(machine.family == Family::kButterfly ||
          machine.family == Family::kMultibutterfly);
 }
 
-std::vector<Vertex> ButterflyRouter::route(Vertex src, Vertex dst,
-                                           Prng& /*rng*/) {
-  const std::uint64_t l1 = src / rows_, r1 = src % rows_;
-  const std::uint64_t l2 = dst / rows_, r2 = dst % rows_;
+void ButterflyRouter::route_append(Vertex src, Vertex dst, Prng& /*rng*/,
+                                   std::vector<Vertex>& out) {
+  // Vertex = level * 2^d + row.
+  const std::uint64_t row_mask = (std::uint64_t{1} << d_) - 1;
+  const std::uint64_t l1 = src >> d_, r1 = src & row_mask;
+  const std::uint64_t l2 = dst >> d_, r2 = dst & row_mask;
   std::uint64_t needed = r1 ^ r2;
 
   std::uint64_t level = l1, row = r1;
-  std::vector<Vertex> path{src};
+  out.clear();
+  out.push_back(src);
   auto push = [&] {
-    path.push_back(static_cast<Vertex>(level * rows_ + row));
+    out.push_back(static_cast<Vertex>((level << d_) | row));
   };
 
   // Descend to the lowest needed boundary (crossing boundary i downward may
@@ -68,7 +71,6 @@ std::vector<Vertex> ButterflyRouter::route(Vertex src, Vertex dst,
     push();
   }
   assert(level == l2 && row == r2 && needed == 0);
-  return path;
 }
 
 ShuffleExchangeRouter::ShuffleExchangeRouter(const Machine& machine)
@@ -76,9 +78,11 @@ ShuffleExchangeRouter::ShuffleExchangeRouter(const Machine& machine)
   assert(machine.family == Family::kShuffleExchange);
 }
 
-std::vector<Vertex> ShuffleExchangeRouter::route(Vertex src, Vertex dst,
-                                                 Prng& /*rng*/) {
-  std::vector<Vertex> path{src};
+void ShuffleExchangeRouter::route_append(Vertex src, Vertex dst,
+                                         Prng& /*rng*/,
+                                         std::vector<Vertex>& out) {
+  out.clear();
+  out.push_back(src);
   std::uint64_t cur = src;
   // d rounds: force the lsb to bit k of dst, then rotate right — bit k ends
   // up back at position k after the remaining rotations.
@@ -86,30 +90,39 @@ std::vector<Vertex> ShuffleExchangeRouter::route(Vertex src, Vertex dst,
     const std::uint64_t want = (dst >> k) & 1u;
     if ((cur & 1u) != want) {
       cur ^= 1u;
-      path.push_back(static_cast<Vertex>(cur));
+      out.push_back(static_cast<Vertex>(cur));
     }
     const std::uint64_t next = rotr_bits(cur, d_);
     if (next != cur) {
-      path.push_back(static_cast<Vertex>(next));
+      out.push_back(static_cast<Vertex>(next));
     }
     cur = next;
   }
   assert(cur == dst);
-  return path;
 }
 
 ValiantRouter::ValiantRouter(const Machine& machine,
                              std::unique_ptr<Router> base)
     : machine_(machine), base_(std::move(base)) {}
 
-std::vector<Vertex> ValiantRouter::route(Vertex src, Vertex dst, Prng& rng) {
-  if (src == dst) return {src};
+void ValiantRouter::route_append(Vertex src, Vertex dst, Prng& rng,
+                                 std::vector<Vertex>& out) {
+  if (src == dst) {
+    out.assign(1, src);
+    return;
+  }
   const auto w = static_cast<Vertex>(
       rng.below(machine_.graph.num_vertices()));
-  std::vector<Vertex> first = base_->route(src, w, rng);
-  const std::vector<Vertex> second = base_->route(w, dst, rng);
-  first.insert(first.end(), second.begin() + 1, second.end());
-  return first;
+  base_->route_append(src, w, rng, out);
+  // The second leg needs its own buffer: routing it into `out` would
+  // overwrite the first.  The thread's spare buffer is taken for the call,
+  // so a nested Valiant router (base_ itself Valiant) finds it empty and
+  // never shares it; in steady state the leg allocates nothing.
+  thread_local std::vector<Vertex> spare;
+  std::vector<Vertex> second = std::move(spare);
+  base_->route_append(w, dst, rng, second);
+  out.insert(out.end(), second.begin() + 1, second.end());
+  spare = std::move(second);
 }
 
 }  // namespace netemu

@@ -22,18 +22,19 @@ namespace netemu {
 class ButterflyRouter final : public Router {
  public:
   explicit ButterflyRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "butterfly-level"; }
 
  private:
   unsigned d_;
-  std::uint64_t rows_;
 };
 
 class ShuffleExchangeRouter final : public Router {
  public:
   explicit ShuffleExchangeRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "shuffle-exchange"; }
 
  private:
@@ -43,7 +44,8 @@ class ShuffleExchangeRouter final : public Router {
 class ValiantRouter final : public Router {
  public:
   ValiantRouter(const Machine& machine, std::unique_ptr<Router> base);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "valiant"; }
 
  private:

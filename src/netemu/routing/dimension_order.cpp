@@ -1,7 +1,10 @@
 #include "netemu/routing/dimension_order.hpp"
 
+#include <array>
 #include <cassert>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 
 #include "netemu/topology/detail/grid.hpp"
 #include "netemu/util/math.hpp"
@@ -9,44 +12,81 @@
 namespace netemu {
 
 DimensionOrderRouter::DimensionOrderRouter(const Machine& machine)
-    : machine_(machine) {
+    : sides_(machine.shape),
+      stride_(machine.shape.size()),
+      wrap_(machine.family == Family::kTorus),
+      diagonal_(machine.family == Family::kXGrid) {
   assert(machine.family == Family::kMesh || machine.family == Family::kTorus ||
          machine.family == Family::kXGrid);
+  if (sides_.size() > detail::kMaxGridAxes) {
+    throw std::invalid_argument("DimensionOrderRouter: too many axes");
+  }
+  // Row-major with the last coordinate fastest (detail::grid_index).
+  std::int64_t stride = 1;
+  for (std::size_t d = sides_.size(); d-- > 0;) {
+    stride_[d] = stride;
+    stride *= sides_[d];
+  }
 }
 
-std::vector<Vertex> DimensionOrderRouter::route(Vertex src, Vertex dst,
-                                                Prng& rng) {
-  const auto& sides = machine_.shape;
-  const std::size_t k = sides.size();
-  auto cur = detail::grid_coord(sides, src);
-  const auto goal = detail::grid_coord(sides, dst);
-  const bool wrap = machine_.family == Family::kTorus;
-  const bool diagonal = machine_.family == Family::kXGrid;
+void DimensionOrderRouter::route_append(Vertex src, Vertex dst, Prng& rng,
+                                        std::vector<Vertex>& out) {
+  const std::size_t k = sides_.size();
+  // Per axis: the coordinate, the hops still to take and their direction.
+  // Every hop along an axis goes the same way (on the torus the shorter way
+  // around stays shorter as the walk advances), so the walk moves the vertex
+  // index by a fixed stride and only a torus hop across the seam wraps.
+  std::array<std::uint32_t, detail::kMaxGridAxes> cur, hops;
+  std::array<int, detail::kMaxGridAxes> dir;
+  std::uint64_t s = src, t = dst, total = 0;
+  for (std::size_t d = k; d-- > 0;) {
+    const std::uint32_t side = sides_[d];
+    cur[d] = static_cast<std::uint32_t>(s % side);
+    const auto goal = static_cast<std::uint32_t>(t % side);
+    s /= side;
+    t /= side;
+    if (!wrap_ || side <= 2) {
+      dir[d] = goal > cur[d] ? 1 : -1;
+      hops[d] = goal > cur[d] ? goal - cur[d] : cur[d] - goal;
+    } else {
+      const std::uint32_t fwd = (goal + side - cur[d]) % side;  // +1 steps
+      dir[d] = 2 * fwd <= side ? 1 : -1;
+      hops[d] = dir[d] > 0 ? fwd : side - fwd;
+    }
+    total += hops[d];
+  }
 
-  // Per-axis step direction (+1 / -1 / 0), shorter way around on the torus.
-  auto step_of = [&](std::size_t d) -> int {
-    if (cur[d] == goal[d]) return 0;
-    if (!wrap || sides[d] <= 2) return goal[d] > cur[d] ? 1 : -1;
-    const std::uint32_t fwd =
-        (goal[d] + sides[d] - cur[d]) % sides[d];  // steps going +1
-    return 2 * fwd <= sides[d] ? 1 : -1;
-  };
-  auto advance = [&](std::size_t d, int dir) {
-    cur[d] = static_cast<std::uint32_t>(
-        (static_cast<long long>(cur[d]) + dir + sides[d]) % sides[d]);
+  std::int64_t index = src;
+  const auto hop = [&](std::size_t d) {
+    --hops[d];
+    if (!wrap_) {
+      index += dir[d] * stride_[d];
+      return;
+    }
+    const std::uint32_t last = sides_[d] - 1;
+    if (dir[d] > 0) {
+      index += cur[d] == last ? -std::int64_t{last} * stride_[d] : stride_[d];
+      cur[d] = cur[d] == last ? 0 : cur[d] + 1;
+    } else {
+      index -= cur[d] == 0 ? -std::int64_t{last} * stride_[d] : stride_[d];
+      cur[d] = cur[d] == 0 ? last : cur[d] - 1;
+    }
   };
 
-  std::vector<std::size_t> axes(k);
+  std::array<std::size_t, detail::kMaxGridAxes> axis_buf;
+  std::span<std::size_t> axes(axis_buf.data(), k);
   std::iota(axes.begin(), axes.end(), std::size_t{0});
   shuffle(axes, rng);
 
-  std::vector<Vertex> path{src};
-  if (diagonal) {
+  out.clear();
+  out.reserve(total + 1);
+  out.push_back(src);
+  if (diagonal_) {
     // Correct pairs of axes through diagonals while at least two differ.
     for (;;) {
       std::size_t a = k, b = k;
       for (std::size_t d : axes) {
-        if (cur[d] != goal[d]) {
+        if (hops[d] != 0) {
           if (a == k) {
             a = d;
           } else {
@@ -56,41 +96,49 @@ std::vector<Vertex> DimensionOrderRouter::route(Vertex src, Vertex dst,
         }
       }
       if (a == k) break;  // arrived
-      const int da = step_of(a);
-      advance(a, da);
-      if (b != k) advance(b, step_of(b));
-      path.push_back(
-          static_cast<Vertex>(detail::grid_index(sides, cur)));
+      hop(a);
+      if (b != k) hop(b);
+      out.push_back(static_cast<Vertex>(index));
     }
-    return path;
+    return;
   }
 
   for (std::size_t d : axes) {
-    while (cur[d] != goal[d]) {
-      advance(d, step_of(d));
-      path.push_back(static_cast<Vertex>(detail::grid_index(sides, cur)));
+    if (!wrap_) {
+      const std::int64_t step = dir[d] * stride_[d];
+      for (std::uint32_t h = hops[d]; h != 0; --h) {
+        index += step;
+        out.push_back(static_cast<Vertex>(index));
+      }
+      continue;
+    }
+    while (hops[d] != 0) {
+      hop(d);
+      out.push_back(static_cast<Vertex>(index));
     }
   }
-  return path;
 }
 
 BitFixRouter::BitFixRouter(const Machine& machine) : d_(machine.shape[0]) {
   assert(machine.family == Family::kHypercube);
 }
 
-std::vector<Vertex> BitFixRouter::route(Vertex src, Vertex dst, Prng& rng) {
-  std::vector<unsigned> bits;
+void BitFixRouter::route_append(Vertex src, Vertex dst, Prng& rng,
+                                std::vector<Vertex>& out) {
+  std::array<unsigned, 8 * sizeof(Vertex)> bit_buf;
+  std::size_t differing = 0;
   for (unsigned p = 0; p < d_; ++p) {
-    if (((src ^ dst) >> p) & 1u) bits.push_back(p);
+    if (((src ^ dst) >> p) & 1u) bit_buf[differing++] = p;
   }
+  std::span<unsigned> bits(bit_buf.data(), differing);
   shuffle(bits, rng);
-  std::vector<Vertex> path{src};
+  out.clear();
+  out.push_back(src);
   Vertex cur = src;
   for (unsigned p : bits) {
     cur ^= static_cast<Vertex>(1u << p);
-    path.push_back(cur);
+    out.push_back(cur);
   }
-  return path;
 }
 
 DeBruijnShiftRouter::DeBruijnShiftRouter(const Machine& machine)
@@ -98,22 +146,22 @@ DeBruijnShiftRouter::DeBruijnShiftRouter(const Machine& machine)
   assert(machine.family == Family::kDeBruijn);
 }
 
-std::vector<Vertex> DeBruijnShiftRouter::route(Vertex src, Vertex dst,
-                                               Prng& /*rng*/) {
+void DeBruijnShiftRouter::route_append(Vertex src, Vertex dst, Prng& /*rng*/,
+                                       std::vector<Vertex>& out) {
   const std::uint64_t n = ipow(2, d_);
-  std::vector<Vertex> path{src};
+  out.clear();
+  out.push_back(src);
   std::uint64_t cur = src;
   // Feed dst's bits in from MSB to LSB; after d shifts cur == dst.
   for (unsigned i = d_; i-- > 0;) {
     const std::uint64_t bit = (dst >> i) & 1u;
     const std::uint64_t next = (cur * 2 + bit) % n;
     if (next != cur) {
-      path.push_back(static_cast<Vertex>(next));
+      out.push_back(static_cast<Vertex>(next));
     }
     cur = next;
   }
   assert(cur == dst);
-  return path;
 }
 
 }  // namespace netemu

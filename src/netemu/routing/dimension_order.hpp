@@ -16,17 +16,22 @@ namespace netemu {
 class DimensionOrderRouter final : public Router {
  public:
   explicit DimensionOrderRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "dimension-order"; }
 
  private:
-  const Machine& machine_;
+  std::vector<std::uint32_t> sides_;
+  std::vector<std::int64_t> stride_;  // index distance of one +1 axis step
+  bool wrap_;      // torus: each axis takes the shorter way around
+  bool diagonal_;  // X-grid: two axes per hop while two differ
 };
 
 class BitFixRouter final : public Router {
  public:
   explicit BitFixRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "bit-fix"; }
 
  private:
@@ -36,7 +41,8 @@ class BitFixRouter final : public Router {
 class DeBruijnShiftRouter final : public Router {
  public:
   explicit DeBruijnShiftRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "debruijn-shift"; }
 
  private:

@@ -10,29 +10,25 @@
 // destination.  Dilation grows to Θ(n^{1/k}) but congestion drops to the
 // mesh's, which is exactly the trade the Θ-form of Table 4 is about.
 
+#include <array>
+
 #include "netemu/routing/router.hpp"
+#include "netemu/topology/detail/grid.hpp"
 
 namespace netemu {
 
 class HierarchyRouter final : public Router {
  public:
   explicit HierarchyRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "hierarchy-base"; }
 
  private:
-  struct Position {
-    std::uint32_t level;
-    std::vector<std::uint32_t> coord;
-  };
-  Position position_of(Vertex v) const;
-  Vertex vertex_of(std::uint32_t level,
-                   const std::vector<std::uint32_t>& coord) const;
-  /// Append the descent from (level, coord) to the base corner descendant;
-  /// returns the base coordinates.  Emits vertices AFTER the starting one.
-  std::vector<std::uint32_t> descend(std::uint32_t level,
-                                     std::vector<std::uint32_t> coord,
-                                     std::vector<Vertex>& out) const;
+  using Coord = std::array<std::uint32_t, detail::kMaxGridAxes>;
+  /// Level of v, with its coordinates within that level's mesh in `coord`.
+  std::uint32_t locate(Vertex v, Coord& coord) const;
+  Vertex vertex_of(std::uint32_t level, const Coord& coord) const;
 
   unsigned k_;
   std::uint32_t base_side_;

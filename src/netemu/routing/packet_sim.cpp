@@ -148,6 +148,18 @@ void PacketSimulator::append(PreparedBatch& batch,
   batch.seq_off_.push_back(static_cast<std::uint32_t>(batch.seq_.size()));
 }
 
+PacketSimulator::PreparedBatch PacketSimulator::PreparedBatch::copy_with_room(
+    std::size_t messages, std::size_t total_hops) const {
+  PreparedBatch copy;
+  copy.seq_.reserve(seq_.size() + total_hops);
+  copy.seq_.assign(seq_.begin(), seq_.end());
+  copy.seq_off_.reserve(seq_off_.size() + messages);
+  copy.seq_off_.assign(seq_off_.begin(), seq_off_.end());
+  copy.load_ = load_;
+  copy.static_congestion_ = static_congestion_;
+  return copy;
+}
+
 PacketSimulator::PreparedBatch PacketSimulator::prepare(
     const std::vector<std::vector<Vertex>>& paths) const {
   PreparedBatch batch;

@@ -70,14 +70,13 @@ class PacketSimulator {
     std::uint64_t total_hops() const { return seq_.size(); }
     std::uint64_t static_congestion() const { return static_congestion_; }
 
-    /// Pre-size for `messages` more appends totalling ~`total_hops` hops
-    /// (a hint; appends beyond it just grow normally).  Batch-building is
-    /// the allocation-heaviest part of a throughput trial, so callers that
-    /// know the message count reserve up front instead of doubling.
-    void reserve(std::size_t messages, std::size_t total_hops) {
-      seq_off_.reserve(seq_off_.size() + messages);
-      seq_.reserve(seq_.size() + total_hops);
-    }
+    /// A copy with room for `messages` more appends totalling ~`total_hops`
+    /// hops (a hint; appends beyond it just grow normally).  Batch-building
+    /// is the allocation-heaviest part of a throughput trial, so a caller
+    /// that knows the message count sizes the buffers once, here, instead
+    /// of doubling them as it appends.
+    PreparedBatch copy_with_room(std::size_t messages,
+                                 std::size_t total_hops) const;
 
    private:
     friend class PacketSimulator;
@@ -98,9 +97,17 @@ class PacketSimulator {
   /// top-up); static congestion is maintained incrementally.
   void append(PreparedBatch& batch, const std::vector<Vertex>& path) const;
 
-  /// Route a prepared batch to completion.  rng feeds the random arbitration
-  /// policy only.  Thread-safe: const, all mutable state is call-local, so
-  /// one simulator can serve concurrent trials.
+  /// Route a prepared batch to completion.  Thread-safe: const, all mutable
+  /// state is call-local, so one simulator can serve concurrent trials.
+  ///
+  /// rng contract: rng feeds the random arbitration policy only.  Under
+  /// kRandom, run_batch draws exactly batch.size() values, one key per
+  /// message in message-index order (zero-hop messages included), all
+  /// before the first tick; kFarthestFirst and kFifo draw none.  So the rng
+  /// leaves the call advanced by rng_draws(batch) whether or not the run
+  /// completes, and a caller can run a copy of its rng here while it goes
+  /// on drawing from its own past those values (measure_throughput's
+  /// pipelined calibration ladder relies on this).
   ///
   /// Cancellation: `cancel` is polled every kCancelCheckTicks ticks; when it
   /// fires the partial simulation volume is still recorded and the call
@@ -109,6 +116,12 @@ class PacketSimulator {
   /// to an uncancellable run (tests/sim_golden_test.cpp).
   BatchStats run_batch(const PreparedBatch& batch, Prng& rng,
                        const CancelToken& cancel = {}) const;
+
+  /// The number of values run_batch(batch, rng) draws from rng (see the rng
+  /// contract above): batch.size() under kRandom, 0 otherwise.
+  std::uint64_t rng_draws(const PreparedBatch& batch) const {
+    return arbitration_ == Arbitration::kRandom ? batch.size() : 0;
+  }
 
   /// A lower bound on run_batch(batch).makespan under every arbitration:
   /// max over channels of ceil(load / wires), since a channel of w wires

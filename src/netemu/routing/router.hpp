@@ -18,20 +18,24 @@ class Router {
  public:
   virtual ~Router() = default;
 
-  /// Walk from src to dst inclusive of both endpoints; consecutive entries
+  /// The one routing primitive.  Replace the contents of `out` with the
+  /// walk from src to dst, inclusive of both endpoints; consecutive entries
   /// must be adjacent in the machine's graph.  rng may be used for
-  /// congestion-spreading tie-breaks.
-  virtual std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) = 0;
-
-  /// Buffer-reuse variant for hot loops (measure_throughput routes tens of
-  /// thousands of messages per trial): fill `out` with the walk instead of
-  /// allocating a fresh vector per message.  Must produce exactly the path
-  /// route() would — same vertices, same rng draws — so the two are
-  /// interchangeable without perturbing seeded results.  The default
-  /// delegates to route(); routers on the hot path override it.
+  /// congestion-spreading tie-breaks.  The walk and the rng draws depend
+  /// only on (src, dst, rng state), never on what `out` held before, so a
+  /// hot loop (measure_throughput routes tens of thousands of messages per
+  /// trial) reuses one buffer and routes with no per-message allocation.
+  /// Concurrent calls on one router must be safe: every bundled router
+  /// keeps no per-call state in the object (BfsRouter's distance-field
+  /// cache is internally synchronized).
   virtual void route_append(Vertex src, Vertex dst, Prng& rng,
-                            std::vector<Vertex>& out) {
-    out = route(src, dst, rng);
+                            std::vector<Vertex>& out) = 0;
+
+  /// Convenience wrapper: route_append into a fresh vector.
+  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) {
+    std::vector<Vertex> path;
+    route_append(src, dst, rng, path);
+    return path;
   }
 
   virtual const char* name() const = 0;

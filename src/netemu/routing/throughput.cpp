@@ -9,29 +9,43 @@ namespace netemu {
 
 namespace {
 
-/// Sample `extra` messages and append their routed paths to `batch`.
-/// Polls `cancel` between routes; routing a message costs microseconds so a
-/// per-message check is already amortized relative to kCancelCheckTicks.
-void route_into(PacketSimulator::PreparedBatch& batch,
-                const PacketSimulator& sim, Router& router,
-                const TrafficDistribution& traffic, std::size_t extra,
-                Prng& rng, const CancelToken& cancel) {
-  // Pre-size from the running average path length (or a small guess on an
-  // empty batch) and reuse one path buffer across messages: tens of
-  // thousands of per-message vector allocations per trial otherwise
-  // dominate the non-simulating half of the trial.
-  const std::size_t hops_hint =
-      batch.size() > 0
-          ? static_cast<std::size_t>(batch.total_hops() / batch.size() + 1) *
-                extra
-          : 8 * extra;
-  batch.reserve(extra, hops_hint);
+/// Hops per message to reserve for messages drawn like `sample`'s: its
+/// average path length plus one (a small guess when it is empty).  A batch
+/// that outgrows its buffers reallocates and copies them.
+std::size_t hops_hint(const PacketSimulator::PreparedBatch& sample) {
+  return sample.size() > 0
+             ? static_cast<std::size_t>(sample.total_hops() / sample.size()) +
+                   1
+             : 8;
+}
+
+/// Route `messages` onto the end of `batch`, reusing one path buffer: the
+/// routers write into it with no per-message allocation.  Polls `cancel`
+/// between routes, as the simulator polls it between ticks.
+void route_onto(PacketSimulator::PreparedBatch& batch,
+                const std::vector<Message>& messages,
+                const PacketSimulator& sim, Router& router, Prng& rng,
+                const CancelToken& cancel) {
   std::vector<Vertex> path;
-  for (const Message& msg : traffic.batch(extra, rng)) {
+  for (const Message& msg : messages) {
     cancel.check();
     router.route_append(msg.src, msg.dst, rng, path);
     sim.append(batch, path);
   }
+}
+
+/// A new batch: `prefix` (the already-routed part) followed by `extra`
+/// freshly sampled and routed messages, its buffers sized once for `hops`
+/// hops per new message (batch-building is the allocation-heaviest part of
+/// a trial).
+PacketSimulator::PreparedBatch extend(
+    const PacketSimulator::PreparedBatch& prefix, const PacketSimulator& sim,
+    Router& router, const TrafficDistribution& traffic, std::size_t extra,
+    std::size_t hops, Prng& rng, const CancelToken& cancel) {
+  PacketSimulator::PreparedBatch batch =
+      prefix.copy_with_room(extra, hops * extra);
+  route_onto(batch, traffic.batch(extra, rng), sim, router, rng, cancel);
+  return batch;
 }
 
 }  // namespace
@@ -78,30 +92,71 @@ ThroughputResult measure_throughput(const Machine& machine, Router& router,
   //
   // A step is provably the last one before it is simulated when m is capped
   // or the batch's congestion floor already reaches the target (makespan >=
-  // floor).  That step's run_batch then becomes job 0 of the fan-out below
-  // instead of running alone; any other step runs here as before.
+  // floor).  That step's run_batch then becomes job 0 of the fan-out below.
+  // Any other step simulates here, and with a pool a helper routes the next
+  // step's top-up meanwhile (for_n job 0, the caller, simulates; job 1
+  // routes).  The simulation runs on a copy of the ladder's rng, and the
+  // ladder's own rng skips the values run_batch draws (PacketSimulator's
+  // rng contract), so the top-up is sampled and routed from exactly the
+  // state a serial run leaves.  The top-up is kept only if the step turns
+  // out not to be the last; nothing is ever simulated ahead, so a dropped
+  // top-up costs its sampling and routing only.
   std::uint64_t calibration_ticks = 0;
   Prng calib_rng = Prng::stream(base, 1);
-  PacketSimulator::PreparedBatch calib_batch;
+  PacketSimulator::PreparedBatch calib_batch =
+      extend({}, sim, router, traffic, m, hops_hint({}), calib_rng,
+             options.cancel);
   bool final_step_pending = false;
-  {
-    std::size_t routed = 0;
-    for (;;) {
-      route_into(calib_batch, sim, router, traffic, m - routed, calib_rng,
-                 options.cancel);
-      routed = m;
-      if (m >= options.max_messages ||
-          sim.makespan_floor(calib_batch) >= target_makespan) {
-        final_step_pending = true;
-        break;
-      }
-      stats[0] = sim.run_batch(calib_batch, calib_rng, options.cancel);
-      if (stats[0].makespan >= target_makespan) break;
-      calibration_ticks += stats[0].makespan;  // non-final sizing runs
-      m = std::min(options.max_messages, m * 2);
+  for (;;) {
+    if (m >= options.max_messages ||
+        sim.makespan_floor(calib_batch) >= target_makespan) {
+      final_step_pending = true;
+      break;
     }
+    const std::size_t next_m = std::min(options.max_messages, m * 2);
+    Prng sim_rng = calib_rng;
+    calib_rng.discard(sim.rng_draws(calib_batch));
+    PacketSimulator::PreparedBatch next;
+    std::vector<Message> top_up;
+    const auto sample_top_up = [&] {
+      next = calib_batch.copy_with_room(
+          next_m - m, hops_hint(calib_batch) * (next_m - m));
+      top_up = traffic.batch(next_m - m, calib_rng);
+    };
+    const auto route_top_up = [&] {
+      route_onto(next, top_up, sim, router, calib_rng, options.cancel);
+    };
+    const auto simulate = [&] {
+      stats[0] = sim.run_batch(calib_batch, sim_rng, options.cancel);
+    };
+    if (options.pool != nullptr) {
+      // The caller allocates the top-up's buffers and samples its messages,
+      // then simulates as a serial run would; the helper only routes into
+      // those buffers, so a pool thread that would otherwise sit idle
+      // allocates nothing that outlives the step.
+      sample_top_up();
+      options.pool->for_n(2, [&](std::size_t j) {
+        if (j == 0) {
+          simulate();
+        } else {
+          route_top_up();
+        }
+      });
+    } else {
+      simulate();
+    }
+    if (stats[0].makespan >= target_makespan) break;
+    calibration_ticks += stats[0].makespan;  // non-final sizing runs
+    if (options.pool == nullptr) {
+      sample_top_up();
+      route_top_up();
+    }
+    calib_batch = std::move(next);
+    m = next_m;
   }
   result.messages = m;
+  // Every trial routes m messages drawn like the calibration batch's.
+  const std::size_t trial_hops = hops_hint(calib_batch);
 
   // Trials in [max(lo, 1), hi) at the calibrated size, independently seeded
   // by index and collected by index — bit-identical at any thread count.  A
@@ -111,8 +166,9 @@ ThroughputResult measure_throughput(const Machine& machine, Router& router,
   const auto run_trial = [&](std::size_t t) {
     try {
       Prng trial_rng = Prng::stream(base, 1 + t);
-      PacketSimulator::PreparedBatch batch;
-      route_into(batch, sim, router, traffic, m, trial_rng, options.cancel);
+      const PacketSimulator::PreparedBatch batch =
+          extend({}, sim, router, traffic, m, trial_hops, trial_rng,
+                 options.cancel);
       stats[t] = sim.run_batch(batch, trial_rng, options.cancel);
       completed[t] = 1;
     } catch (const CancelledError&) {

@@ -1,6 +1,7 @@
 #include "netemu/routing/tree_router.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "netemu/util/math.hpp"
@@ -14,28 +15,33 @@ TreeRouter::TreeRouter(const Machine& machine) {
   (void)machine;
 }
 
-std::vector<Vertex> TreeRouter::route(Vertex src, Vertex dst, Prng& /*rng*/) {
-  // Heap depth of vertex i is ilog2(i + 1).
-  std::vector<Vertex> up{src};
-  std::vector<Vertex> down{dst};
+void TreeRouter::route_append(Vertex src, Vertex dst, Prng& /*rng*/,
+                              std::vector<Vertex>& out) {
+  // Heap depth of vertex i is ilog2(i + 1).  The up-leg goes straight into
+  // `out`; the down-leg (dst up to the LCA) is built in a fixed array, at
+  // most one entry per depth, and appended reversed.
+  std::array<Vertex, 8 * sizeof(Vertex) + 1> down;
+  std::size_t nd = 0;
+  out.clear();
+  out.push_back(src);
+  down[nd++] = dst;
   Vertex a = src, b = dst;
   while (ilog2(a + 1u) > ilog2(b + 1u)) {
     a = (a - 1) / 2;
-    up.push_back(a);
+    out.push_back(a);
   }
   while (ilog2(b + 1u) > ilog2(a + 1u)) {
     b = (b - 1) / 2;
-    down.push_back(b);
+    down[nd++] = b;
   }
   while (a != b) {
     a = (a - 1) / 2;
-    up.push_back(a);
+    out.push_back(a);
     b = (b - 1) / 2;
-    down.push_back(b);
+    down[nd++] = b;
   }
-  up.pop_back();  // LCA would be duplicated
-  up.insert(up.end(), down.rbegin(), down.rend());
-  return up;
+  out.pop_back();  // the LCA ends both legs
+  while (nd > 0) out.push_back(down[--nd]);
 }
 
 LineRouter::LineRouter(const Machine& machine) {
@@ -43,16 +49,16 @@ LineRouter::LineRouter(const Machine& machine) {
   (void)machine;
 }
 
-std::vector<Vertex> LineRouter::route(Vertex src, Vertex dst, Prng& /*rng*/) {
-  std::vector<Vertex> path;
-  path.reserve(static_cast<std::size_t>(
-                   src > dst ? src - dst : dst - src) + 1);
+void LineRouter::route_append(Vertex src, Vertex dst, Prng& /*rng*/,
+                              std::vector<Vertex>& out) {
+  out.clear();
+  out.reserve(static_cast<std::size_t>(src > dst ? src - dst : dst - src) +
+              1);
   const int dir = dst >= src ? 1 : -1;
   for (Vertex v = src;; v = static_cast<Vertex>(static_cast<int>(v) + dir)) {
-    path.push_back(v);
+    out.push_back(v);
     if (v == dst) break;
   }
-  return path;
 }
 
 RingRouter::RingRouter(const Machine& machine)
@@ -60,17 +66,18 @@ RingRouter::RingRouter(const Machine& machine)
   assert(machine.family == Family::kRing);
 }
 
-std::vector<Vertex> RingRouter::route(Vertex src, Vertex dst, Prng& /*rng*/) {
-  std::vector<Vertex> path{src};
-  if (src == dst) return path;
+void RingRouter::route_append(Vertex src, Vertex dst, Prng& /*rng*/,
+                              std::vector<Vertex>& out) {
+  out.clear();
+  out.push_back(src);
+  if (src == dst) return;
   const std::size_t fwd = (dst + n_ - src) % n_;
   const int dir = 2 * fwd <= n_ ? 1 : -1;
   Vertex cur = src;
   while (cur != dst) {
     cur = static_cast<Vertex>((cur + n_ + static_cast<std::size_t>(dir)) % n_);
-    path.push_back(cur);
+    out.push_back(cur);
   }
-  return path;
 }
 
 BusRouter::BusRouter(const Machine& machine)
@@ -78,10 +85,13 @@ BusRouter::BusRouter(const Machine& machine)
   assert(machine.family == Family::kGlobalBus);
 }
 
-std::vector<Vertex> BusRouter::route(Vertex src, Vertex dst, Prng& /*rng*/) {
-  if (src == dst) return {src};
-  if (src == hub_ || dst == hub_) return {src, dst};
-  return {src, hub_, dst};
+void BusRouter::route_append(Vertex src, Vertex dst, Prng& /*rng*/,
+                             std::vector<Vertex>& out) {
+  out.clear();
+  out.push_back(src);
+  if (src == dst) return;
+  if (src != hub_ && dst != hub_) out.push_back(hub_);
+  out.push_back(dst);
 }
 
 }  // namespace netemu

@@ -13,21 +13,24 @@ namespace netemu {
 class TreeRouter final : public Router {
  public:
   explicit TreeRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "tree-lca"; }
 };
 
 class LineRouter final : public Router {
  public:
   explicit LineRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "line"; }
 };
 
 class RingRouter final : public Router {
  public:
   explicit RingRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "ring"; }
 
  private:
@@ -37,7 +40,8 @@ class RingRouter final : public Router {
 class BusRouter final : public Router {
  public:
   explicit BusRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "bus"; }
 
  private:

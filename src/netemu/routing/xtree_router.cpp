@@ -1,5 +1,6 @@
 #include "netemu/routing/xtree_router.hpp"
 
+#include <array>
 #include <cassert>
 
 #include "netemu/util/math.hpp"
@@ -25,8 +26,11 @@ XTreeRouter::XTreeRouter(const Machine& machine)
   assert(machine.family == Family::kXTree);
 }
 
-std::vector<Vertex> XTreeRouter::route(Vertex src, Vertex dst, Prng& rng) {
-  if (src == dst) return {src};
+void XTreeRouter::route_append(Vertex src, Vertex dst, Prng& rng,
+                               std::vector<Vertex>& out) {
+  out.clear();
+  out.push_back(src);
+  if (src == dst) return;
   const unsigned du = depth_of(src), dv = depth_of(dst);
   // Crossing depth: uniform over the rings both endpoints can reach, but no
   // deeper than the LCA's depth + a few levels — locality for nearby pairs
@@ -35,32 +39,24 @@ std::vector<Vertex> XTreeRouter::route(Vertex src, Vertex dst, Prng& rng) {
   const unsigned l =
       static_cast<unsigned>(rng.below(reach + 1u));
 
-  std::vector<Vertex> path{src};
   Vertex cur = src;
   // Climb to depth l.
   while (depth_of(cur) > l) {
     cur = (cur - 1) / 2;
-    path.push_back(cur);
+    out.push_back(cur);
   }
   // Walk laterally along ring l to dst's ancestor.
   const Vertex target = ancestor_at(dst, l);
   while (cur != target) {
     cur = cur < target ? cur + 1 : cur - 1;
-    path.push_back(cur);
+    out.push_back(cur);
   }
-  // Descend along dst's ancestor chain.
-  if (depth_of(dst) > l) {
-    std::vector<Vertex> chain;  // dst up to (but excluding) depth l
-    Vertex w = dst;
-    while (depth_of(w) > l) {
-      chain.push_back(w);
-      w = (w - 1) / 2;
-    }
-    for (std::size_t i = chain.size(); i-- > 0;) {
-      path.push_back(chain[i]);
-    }
-  }
-  return path;
+  // Descend along dst's ancestor chain: dst up to (but excluding) depth l,
+  // at most one entry per depth, appended reversed.
+  std::array<Vertex, 8 * sizeof(Vertex)> chain;
+  std::size_t len = 0;
+  for (Vertex w = dst; depth_of(w) > l; w = (w - 1) / 2) chain[len++] = w;
+  while (len > 0) out.push_back(chain[--len]);
 }
 
 }  // namespace netemu

@@ -18,7 +18,8 @@ namespace netemu {
 class XTreeRouter final : public Router {
  public:
   explicit XTreeRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override;
   const char* name() const override { return "xtree-ring"; }
 
  private:

@@ -2,10 +2,15 @@
 // Row-major coordinate helpers shared by the grid-like generators.
 // Indexing convention: the LAST coordinate varies fastest.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace netemu::detail {
+
+/// Axes a grid walker keeps on the stack: a grid whose sides are all >= 2
+/// has at most 32 axes within 2^32 vertices.
+inline constexpr std::size_t kMaxGridAxes = 32;
 
 inline std::uint64_t grid_size(const std::vector<std::uint32_t>& sides) {
   std::uint64_t n = 1;

@@ -50,6 +50,11 @@ class Prng {
     return result;
   }
 
+  /// Advance the state by n draws, as if n values were drawn and dropped.
+  constexpr void discard(std::uint64_t n) noexcept {
+    while (n-- > 0) operator()();
+  }
+
   /// Uniform integer in [0, bound). bound must be nonzero.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
   std::uint64_t below(std::uint64_t bound) noexcept {
@@ -94,6 +99,9 @@ class Prng {
     std::uint64_t s = index;
     return Prng(seed ^ splitmix64(s));
   }
+
+  /// Equal state: the two generators draw identical sequences from here on.
+  constexpr bool operator==(const Prng&) const noexcept = default;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

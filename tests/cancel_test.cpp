@@ -16,12 +16,17 @@
 #include <thread>
 
 #include "netemu/fleet/router.hpp"
+#include "netemu/routing/packet_sim.hpp"
+#include "netemu/routing/router.hpp"
+#include "netemu/routing/throughput.hpp"
 #include "netemu/service/client.hpp"
 #include "netemu/service/executor.hpp"
 #include "netemu/service/protocol.hpp"
 #include "netemu/service/server.hpp"
+#include "netemu/topology/generators.hpp"
 #include "netemu/util/cancel.hpp"
 #include "netemu/util/json.hpp"
+#include "netemu/util/thread_pool.hpp"
 
 using namespace netemu;
 
@@ -47,7 +52,70 @@ bool eventually(Pred pred, std::uint64_t ms = 5000) {
   return true;
 }
 
+/// Forwards to `inner`; call number `fire_at` (0-based) fires `source`
+/// before routing.  Counts the calls made and those still in progress.
+class FiringRouter final : public Router {
+ public:
+  FiringRouter(Router& inner, CancelSource& source, std::size_t fire_at)
+      : inner_(inner), source_(source), fire_at_(fire_at) {}
+
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out) override {
+    active_.fetch_add(1);
+    if (calls_.fetch_add(1) == fire_at_) source_.request_cancel();
+    inner_.route_append(src, dst, rng, out);
+    active_.fetch_sub(1);
+  }
+  const char* name() const override { return "firing"; }
+
+  std::size_t calls() const { return calls_.load(); }
+  int active() const { return active_.load(); }
+
+ private:
+  Router& inner_;
+  CancelSource& source_;
+  const std::size_t fire_at_;
+  std::atomic<std::size_t> calls_{0};
+  std::atomic<int> active_{0};
+};
+
 }  // namespace
+
+// ---------------------------------------------------------- ThroughputCancel
+
+TEST(ThroughputCancel, CancelDuringTheOverlappedTopUpRaisesAndLeavesNoHelper) {
+  // mesh8x8 at the default 8 messages per processor: the calibration
+  // ladder's first step (512 messages) is far from the target makespan, so
+  // with a pool the top-up of routes 512..1023 is routed beside that step's
+  // simulation.  A cancel fired at route 600 stops the top-up at its next
+  // check and raises: no trial has landed yet.
+  const Machine m = make_mesh({8, 8});
+  std::vector<Vertex> procs(m.graph.num_vertices());
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    procs[i] = static_cast<Vertex>(i);
+  }
+  const auto traffic = TrafficDistribution::symmetric(std::move(procs));
+  const auto inner = make_default_router(m);
+  ThreadPool pool(4);
+  CancelSource source;
+  FiringRouter router(*inner, source, 600);
+  ThroughputOptions opt;
+  opt.trials = 4;
+  opt.pool = &pool;
+  opt.cancel = source.token();
+  Prng rng(4242);
+  EXPECT_THROW(measure_throughput(m, router, traffic, rng, opt),
+               CancelledError);
+  // Routing stopped at the first check after the cancel, and nothing that
+  // for_n started is still running: no route in progress, and neither a
+  // route nor a simulated tick lands after the call returned.
+  EXPECT_EQ(router.active(), 0);
+  EXPECT_EQ(router.calls(), 601u);
+  const std::uint64_t ticks = simulated_ticks_total();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(router.calls(), 601u);
+  EXPECT_EQ(simulated_ticks_total(), ticks);
+}
 
 // ---------------------------------------------------------------- CancelToken
 

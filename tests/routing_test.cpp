@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 
 #include "netemu/graph/algorithms.hpp"
 #include "netemu/routing/bfs_router.hpp"
@@ -368,6 +369,172 @@ TEST(BusRouter, ThroughHub) {
   const auto path = router.route(1, 4, rng);
   ASSERT_EQ(path.size(), 3u);
   EXPECT_EQ(path[1], 6u);  // hub
+}
+
+// --------------------------------------------------------------------------
+// Router path golden.  Every router the factories hand out, on one small
+// machine per family, routes 512 seeded (src, dst) pairs; the digest folds
+// each path's vertices and the rng state after the call.  The digests were
+// recorded on the two-method router interface (route() and route_append()
+// both virtual) before route_append became the only routing primitive, so
+// they pin "same vertices, same rng draws" across that refactor.  Each pair
+// is also routed into a reused, dirty buffer, which may change neither.
+
+struct PathGoldenRow {
+  Family family;
+  unsigned k;
+  const char* router;  // "default", "bfs", "bfs-deterministic", "valiant"
+  std::uint64_t digest;
+};
+
+const PathGoldenRow kPathGolden[] = {
+    {Family::kLinearArray, 1, "default", 0x682d03791a5f3e18ULL},
+    {Family::kLinearArray, 1, "bfs", 0xeafc5ebe39c24d1bULL},
+    {Family::kLinearArray, 1, "bfs-deterministic", 0x682d03791a5f3e18ULL},
+    {Family::kLinearArray, 1, "valiant", 0xe0b5d074b66f0495ULL},
+    {Family::kRing, 1, "default", 0x4f32d89aa3c76977ULL},
+    {Family::kRing, 1, "bfs", 0x070e6a38a18a77bbULL},
+    {Family::kRing, 1, "bfs-deterministic", 0x288816f675bfd457ULL},
+    {Family::kRing, 1, "valiant", 0x98f78a9f41a3919fULL},
+    {Family::kGlobalBus, 1, "default", 0x004f3ed5a8fc1d19ULL},
+    {Family::kGlobalBus, 1, "bfs", 0x1835356d8ae8869bULL},
+    {Family::kGlobalBus, 1, "bfs-deterministic", 0x004f3ed5a8fc1d19ULL},
+    {Family::kGlobalBus, 1, "valiant", 0x706c29243f3ce59cULL},
+    {Family::kTree, 1, "default", 0xb9c585ac985f1f38ULL},
+    {Family::kTree, 1, "bfs", 0x2077296083a1109bULL},
+    {Family::kTree, 1, "bfs-deterministic", 0xb9c585ac985f1f38ULL},
+    {Family::kTree, 1, "valiant", 0x2e613da73fec67ceULL},
+    {Family::kFatTree, 1, "default", 0xb9c585ac985f1f38ULL},
+    {Family::kFatTree, 1, "bfs", 0x2077296083a1109bULL},
+    {Family::kFatTree, 1, "bfs-deterministic", 0xb9c585ac985f1f38ULL},
+    {Family::kFatTree, 1, "valiant", 0x2e613da73fec67ceULL},
+    {Family::kWeakPPN, 1, "default", 0xb9c585ac985f1f38ULL},
+    {Family::kWeakPPN, 1, "bfs", 0x2077296083a1109bULL},
+    {Family::kWeakPPN, 1, "bfs-deterministic", 0xb9c585ac985f1f38ULL},
+    {Family::kWeakPPN, 1, "valiant", 0x2e613da73fec67ceULL},
+    {Family::kXTree, 1, "default", 0xdde483f4893a793bULL},
+    {Family::kXTree, 1, "bfs", 0xd24380947ba4e77aULL},
+    {Family::kXTree, 1, "bfs-deterministic", 0x0ec958c114e593e6ULL},
+    {Family::kXTree, 1, "valiant", 0x985ce60ca6afc51bULL},
+    {Family::kMesh, 2, "default", 0x390f2b9340c07734ULL},
+    {Family::kMesh, 2, "bfs", 0xbf3d3708d4f9ed98ULL},
+    {Family::kMesh, 2, "bfs-deterministic", 0xd8e12357e7e74a8dULL},
+    {Family::kMesh, 2, "valiant", 0x66da51efb06d592fULL},
+    {Family::kMesh, 3, "default", 0x43023e038dbdd79cULL},
+    {Family::kMesh, 3, "bfs", 0x7ba8819aac4ba1daULL},
+    {Family::kMesh, 3, "bfs-deterministic", 0x06cf5bcef00dfaadULL},
+    {Family::kMesh, 3, "valiant", 0x72017a772391a241ULL},
+    {Family::kTorus, 2, "default", 0x2d9630d280f6e47fULL},
+    {Family::kTorus, 2, "bfs", 0xcd50c9ee4071d33dULL},
+    {Family::kTorus, 2, "bfs-deterministic", 0x4b458e5bc6ddd534ULL},
+    {Family::kTorus, 2, "valiant", 0x52f5624d0ad77027ULL},
+    {Family::kTorus, 3, "default", 0x479291549bfd1a0cULL},
+    {Family::kTorus, 3, "bfs", 0xc41dbd2b27fee493ULL},
+    {Family::kTorus, 3, "bfs-deterministic", 0x605cf4a0d8782644ULL},
+    {Family::kTorus, 3, "valiant", 0x84be98ad85dc3060ULL},
+    {Family::kXGrid, 2, "default", 0xcb8a93038dfce43cULL},
+    {Family::kXGrid, 2, "bfs", 0x11c2a15063d1fd3eULL},
+    {Family::kXGrid, 2, "bfs-deterministic", 0x07bfa401ad3e4bb6ULL},
+    {Family::kXGrid, 2, "valiant", 0x1a6ed7e8339d77bdULL},
+    {Family::kXGrid, 3, "default", 0xb921bf8cb824eba8ULL},
+    {Family::kXGrid, 3, "bfs", 0xf8f398bc313761eeULL},
+    {Family::kXGrid, 3, "bfs-deterministic", 0x650cf533d9ba29edULL},
+    {Family::kXGrid, 3, "valiant", 0x32d1d0e728735537ULL},
+    {Family::kMeshOfTrees, 2, "default", 0xfe3130ae5f955374ULL},
+    {Family::kMeshOfTrees, 2, "bfs", 0xfe3130ae5f955374ULL},
+    {Family::kMeshOfTrees, 2, "bfs-deterministic", 0x3532dd34aef55d13ULL},
+    {Family::kMeshOfTrees, 2, "valiant", 0x1230a2ddc8a36dc2ULL},
+    {Family::kMultigrid, 2, "default", 0xbae1a7cb97f20299ULL},
+    {Family::kMultigrid, 2, "bfs", 0xebc0582080dfa2c9ULL},
+    {Family::kMultigrid, 2, "bfs-deterministic", 0x48be9c71807a2affULL},
+    {Family::kMultigrid, 2, "valiant", 0xc9b3bd6648d6b050ULL},
+    {Family::kPyramid, 2, "default", 0xbae1a7cb97f20299ULL},
+    {Family::kPyramid, 2, "bfs", 0x1ac67c0f84ff2ceaULL},
+    {Family::kPyramid, 2, "bfs-deterministic", 0x0d50000fe7b87cb0ULL},
+    {Family::kPyramid, 2, "valiant", 0xc9b3bd6648d6b050ULL},
+    {Family::kButterfly, 1, "default", 0xb3e3ab9111c88c82ULL},
+    {Family::kButterfly, 1, "bfs", 0x90b71c0fd8903952ULL},
+    {Family::kButterfly, 1, "bfs-deterministic", 0x40d08ace2296fb95ULL},
+    {Family::kButterfly, 1, "valiant", 0x270bb7db4c2dd17aULL},
+    {Family::kWrappedButterfly, 1, "default", 0xd93a1422ef867965ULL},
+    {Family::kWrappedButterfly, 1, "bfs", 0xd93a1422ef867965ULL},
+    {Family::kWrappedButterfly, 1, "bfs-deterministic", 0x80a6ee22a5c0db7eULL},
+    {Family::kWrappedButterfly, 1, "valiant", 0x1e7aaf40d466eeddULL},
+    {Family::kDeBruijn, 1, "default", 0xdd29c7633a2c68a2ULL},
+    {Family::kDeBruijn, 1, "bfs", 0xbf32c96df1d1d600ULL},
+    {Family::kDeBruijn, 1, "bfs-deterministic", 0xed702b05778b3ee9ULL},
+    {Family::kDeBruijn, 1, "valiant", 0x08d4cf7c0fc199c7ULL},
+    {Family::kShuffleExchange, 1, "default", 0xd3b570cb2deaeeaeULL},
+    {Family::kShuffleExchange, 1, "bfs", 0x8445248074a4ba18ULL},
+    {Family::kShuffleExchange, 1, "bfs-deterministic", 0xddcad4b28c48bb78ULL},
+    {Family::kShuffleExchange, 1, "valiant", 0xd0c64481d1e369b6ULL},
+    {Family::kCCC, 1, "default", 0x2bc82fa3771799edULL},
+    {Family::kCCC, 1, "bfs", 0x2bc82fa3771799edULL},
+    {Family::kCCC, 1, "bfs-deterministic", 0xae6a2afc7636a72eULL},
+    {Family::kCCC, 1, "valiant", 0xddb8f3865d8a2f2eULL},
+    {Family::kHypercube, 1, "default", 0x94b3feb89b8d273fULL},
+    {Family::kHypercube, 1, "bfs", 0xbcb2e8f81c9d6e11ULL},
+    {Family::kHypercube, 1, "bfs-deterministic", 0x4b3e9225063c1042ULL},
+    {Family::kHypercube, 1, "valiant", 0x014d4d6c7e28347cULL},
+    {Family::kMultibutterfly, 1, "default", 0xb3e3ab9111c88c82ULL},
+    {Family::kMultibutterfly, 1, "bfs", 0x130b551f6c1cf42dULL},
+    {Family::kMultibutterfly, 1, "bfs-deterministic", 0x083aa909cf656d9fULL},
+    {Family::kMultibutterfly, 1, "valiant", 0x270bb7db4c2dd17aULL},
+    {Family::kExpander, 1, "default", 0x37e37c3092ac41faULL},
+    {Family::kExpander, 1, "bfs", 0x37e37c3092ac41faULL},
+    {Family::kExpander, 1, "bfs-deterministic", 0x74e4678cafd026cbULL},
+    {Family::kExpander, 1, "valiant", 0x71414a67523ce1c9ULL},
+};
+
+std::unique_ptr<Router> golden_router(const Machine& m,
+                                      const std::string& kind) {
+  if (kind == "default") return make_default_router(m);
+  if (kind == "bfs") return make_bfs_router(m);
+  if (kind == "bfs-deterministic") {
+    return std::make_unique<BfsRouter>(m, /*spread=*/false);
+  }
+  return make_valiant_router(m);
+}
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t x) {
+  return (h ^ x) * 0x100000001b3ULL;  // FNV-1a step over 64-bit words
+}
+
+std::uint64_t path_digest(const Machine& m, Router& router) {
+  Prng pairs(0xC0FFEE);
+  Prng rng(0x5EED), dirty_rng(0x5EED);
+  std::vector<Vertex> dirty{7, 7, 7};
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const std::size_t n = m.graph.num_vertices();
+  for (int i = 0; i < 512; ++i) {
+    const auto src = static_cast<Vertex>(pairs.below(n));
+    const auto dst = static_cast<Vertex>(pairs.below(n));
+    const std::vector<Vertex> path = router.route(src, dst, rng);
+    dirty.push_back(static_cast<Vertex>(i));  // stale tail from earlier calls
+    router.route_append(src, dst, dirty_rng, dirty);
+    EXPECT_TRUE(path_is_valid(m.graph, path, src, dst)) << src << "->" << dst;
+    EXPECT_EQ(dirty, path) << src << "->" << dst;
+    EXPECT_TRUE(dirty_rng == rng) << src << "->" << dst;
+    h = fold(h, path.size());
+    for (const Vertex v : path) h = fold(h, v);
+    Prng probe = rng;
+    h = fold(h, probe());
+  }
+  return h;
+}
+
+TEST(RouterPathGolden, EveryRouterKeepsItsPathsAndDraws) {
+  std::set<Family> covered;
+  for (const PathGoldenRow& row : kPathGolden) {
+    SCOPED_TRACE(std::string(family_name(row.family)) + " k" +
+                 std::to_string(row.k) + " " + row.router);
+    Prng build(2024);
+    const Machine m = make_machine(row.family, 64, row.k, build);
+    const auto router = golden_router(m, row.router);
+    EXPECT_EQ(path_digest(m, *router), row.digest);
+    covered.insert(row.family);
+  }
+  EXPECT_EQ(covered.size(), all_families().size());
 }
 
 // --------------------------------------------------------------------------
