@@ -149,7 +149,9 @@ SeedResult run_seed(const FaultPlan& plan, std::size_t clients,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv,
+                {"cache-file", "clients", "first-seed", "plan", "requests",
+                 "seeds"});
   const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 10));
   const auto first_seed =
       static_cast<std::uint64_t>(cli.get_int("first-seed", 1));

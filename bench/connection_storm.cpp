@@ -405,7 +405,8 @@ Json host_json() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv,
+                {"connections", "hot-seconds", "out", "smoke", "workers"});
   const bool smoke = cli.has("smoke");
 
   // The full-mode default of 40000 needs more than one source ip's

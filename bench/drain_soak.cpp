@@ -189,7 +189,8 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t total_requests,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv,
+                {"first-seed", "requests", "seeds", "serve-bin", "terms"});
   const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 3));
   const auto first_seed =
       static_cast<std::uint64_t>(cli.get_int("first-seed", 1));

@@ -1,6 +1,6 @@
 // overload_soak: overload-guard acceptance (docs/GUARD.md).  For each seed
-// it starts ONE real netemu_serve backend with fair share, AIMD and
-// brownout turned on and a deliberately small admission budget, then storms it with a heterogeneous
+// it starts ONE real netemu_serve backend with the fair-share cap on and a
+// deliberately small admission budget, then storms it with a heterogeneous
 // client mix (netemu/faultline/client_mix.hpp) at several times its
 // capacity:
 //
@@ -19,8 +19,9 @@
 //     per-identity fair share of served queries, greedy spam notwithstanding;
 //   * bounded tail: well-behaved p99 latency stays under --p99-gate-ms;
 //   * zero wrong answers, zero duplicate (cache-contaminated) results;
-//   * brownout honesty: degraded responses are never served from cache —
-//     re-requesting a formerly degraded query yields a fresh full answer;
+//   * degraded honesty: degraded (deadline-bounded partial) responses are
+//     never served from cache — re-requesting a formerly degraded query
+//     yields a fresh full answer;
 //   * the backend survives the malformed client (still answers ping);
 //   * a mid-storm SIGTERM drains CLEANLY: exit status 0, under 5 seconds,
 //     while the storm is still firing.
@@ -53,12 +54,12 @@ using namespace netemu;
 namespace {
 
 constexpr double kN = 64;       // estimate graph size (mesh2, 8x8)
-constexpr double kTrials = 8;   // per-query trials (brownout keeps 2)
+constexpr double kTrials = 8;   // per-query trials
 
 struct ThreadResult {
   std::size_t sent = 0;
   std::size_t ok = 0;         ///< ok responses (degraded included)
-  std::size_t degraded = 0;   ///< ... of ok: browned-out partials
+  std::size_t degraded = 0;   ///< ... of ok: deadline-bounded partials
   std::size_t shed = 0;       ///< overloaded errors
   std::size_t other_error = 0;
   std::size_t transport = 0;
@@ -93,8 +94,6 @@ bool start_backend(ManagedProcess& proc, const std::string& serve_bin,
   spawn.queue = 12;
   spawn.extra_args = {
       "--guard-share", "0.2",
-      "--guard-target-p95-ms", "100",
-      "--guard-brownout",
       "--drain-ms", "2000",
   };
   return bench::spawn_serve(proc, serve_bin, spawn, port, error);
@@ -309,7 +308,7 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t storm_ms,
       if (client.request_raw(ping.dump(), response_line)) {
         out.ping_ok = Json::parse(response_line)["ok"].as_bool();
       }
-      // Brownout honesty: a degraded partial must not have been cached, so
+      // Degraded honesty: a degraded partial must not have been cached, so
       // re-requesting it on an idle server yields a fresh FULL answer.
       const std::size_t recheck = std::min<std::size_t>(degraded_seeds.size(), 5);
       for (std::size_t i = 0; i < recheck; ++i) {
@@ -360,7 +359,9 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t storm_ms,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv,
+                {"first-seed", "greedy-threads", "p99-gate-ms", "seeds",
+                 "serve-bin", "storm-ms"});
   const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 3));
   const auto first_seed =
       static_cast<std::uint64_t>(cli.get_int("first-seed", 1));

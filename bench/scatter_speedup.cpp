@@ -113,7 +113,7 @@ double timed_request(FleetFrontDoor& door, const Json& q,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"gate", "n", "reps", "serve-bin", "trials"});
   const double n = static_cast<double>(cli.get_int("n", 2048));
   const double trials = static_cast<double>(cli.get_int("trials", 64));
   const int reps = static_cast<int>(cli.get_int("reps", 3));

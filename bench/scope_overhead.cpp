@@ -21,13 +21,13 @@
 // each quantum boundary) vs an armed-but-never-firing one (the full
 // deadline-latch check).  Both must stay within the 2% gate.
 //
-// A fourth A/B gates the guard's optional mechanisms (docs/GUARD.md): the
-// same request stack driven through an executor with fair share 0.5, AIMD
-// (target 250 ms), brownout and a 512-unit budget vs one on the default
-// admission config, on refresh queries so every request walks the
-// admission path (cost model, share cap, fair scheduler, AIMD
-// bookkeeping) instead of short-circuiting at the cache.  An uncontended
-// guard with every mechanism on must be free enough to leave on.
+// A fourth A/B gates the guard's fair-share cap (docs/GUARD.md): the same
+// request stack driven through an executor with fair share 0.5 and a
+// 512-unit budget vs one on the default admission config, on refresh
+// queries so every request walks the admission path (cost model, share
+// cap, fair scheduler) instead of short-circuiting at the cache.  An
+// uncontended guard with the share cap on must be free enough to leave
+// on.
 //
 // Methodology: R PAIRED rounds — each pair runs both arms back-to-back
 // (order alternating per pair, so drift cancels) and yields one
@@ -173,14 +173,12 @@ struct ExecWorkload {
       j["v"] = 1.0;
       return j;
     };
-    // Guard arm: every mechanism a deployment turns on by flag (no rate
-    // limit) — an uncontended serial client must never be shed or browned
-    // out here.  The other arm keeps the default admission config.
+    // Guard arm: the share cap a deployment turns on by flag — an
+    // uncontended serial client must never be shed here.  The other arm
+    // keeps the default admission config.
     if (guard_on) {
       o.guard.cost_budget = 512;
       o.guard.client_share = 0.5;
-      o.guard.target_p95_ms = 250;
-      o.guard.brownout = true;
     }
     return o;
   }
@@ -340,7 +338,7 @@ int main(int argc, char** argv) {
   });
 
   // Guard arm pair: the same refresh workload against an executor with
-  // share, AIMD and brownout on vs the default admission config.
+  // the share cap on vs the default admission config.
   // "Enabled" here means the guard config, not the scope kill switch.
   ExecWorkload* guard_arm = &guard_off;
   const int guard_iters = exec_iters / 2;  // refresh rounds compute per hit

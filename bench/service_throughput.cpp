@@ -134,7 +134,7 @@ PhaseResult run_phase(std::uint16_t port, const std::vector<std::string>& lines,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"clients", "port", "requests", "threads"});
   const auto clients = static_cast<std::size_t>(cli.get_int("clients", 4));
   const auto total = static_cast<std::uint64_t>(cli.get_int("requests", 40000));
 

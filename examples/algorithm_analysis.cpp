@@ -41,7 +41,7 @@ AlgorithmPattern make_pattern(const std::string& name, std::size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"algorithm", "hosts", "n", "seed"});
   Prng rng(static_cast<std::uint64_t>(cli.get_int("seed", 9)));
   const auto n = static_cast<std::size_t>(cli.get_int("n", 256));
 

@@ -17,7 +17,7 @@
 using namespace netemu;
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"guest", "k", "n", "parts", "seed", "stretch"});
   Prng rng(static_cast<std::uint64_t>(cli.get_int("seed", 3)));
 
   const std::string guest_name = cli.get("guest", "Mesh");

@@ -18,7 +18,7 @@
 using namespace netemu;
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"guest", "hosts-k", "k", "n"});
   const std::string guest_name = cli.get("guest", "DeBruijn");
   const auto guest = family_from_name(guest_name);
   if (!guest) {

@@ -66,7 +66,12 @@ std::vector<FleetBackendConfig> parse_backends(const std::string& spec,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv,
+                {"attempt-timeout-ms", "attempts", "backends", "cooldown-ms",
+                 "drain-ms", "failure-threshold", "hedge", "hedge-ms",
+                 "hedge-percentile", "io-threads", "offload-threads", "port",
+                 "pressure-sink", "probe-ms", "scatter-min-trials",
+                 "scatter-ways", "trace-all"});
 
   const std::string backends_spec = cli.get("backends");
   if (backends_spec.empty()) {

@@ -90,7 +90,7 @@ int run_load(const Cli& cli, const Json& request, std::uint16_t port) {
     std::size_t errors = 0;      ///< response arrived but ok:false
     std::size_t transport = 0;   ///< connection failed mid-run
     std::size_t shed = 0;        ///< ... of errors: overload sheds
-    std::size_t degraded = 0;    ///< ok responses marked degraded (brownout)
+    std::size_t degraded = 0;    ///< ok responses marked degraded
     std::size_t retry_honored = 0;  ///< sheds whose retry hint we slept out
   };
   std::vector<WorkerResult> results(workers);
@@ -203,7 +203,12 @@ void copy_flag(const Cli& cli, const char* flag, const char* field,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv,
+                {"arbitration", "attempts", "cache-capacity", "cache-file",
+                 "client", "concurrency", "deadline-ms", "family", "guest",
+                 "host", "host-k", "host_k", "id", "k", "local", "m", "n",
+                 "port", "repeat", "router", "seed", "trace", "traffic",
+                 "trials"});
   // The flag parser is greedy: in "--local estimate" the op lands as the
   // value of --local.  Accept both spellings.
   std::string op;

@@ -8,11 +8,14 @@
 //   $ netemu_serve --no-journal        # skip the crash-recovery WAL
 //   $ netemu_serve --io-threads 4      # epoll reactor shards (0 = hw threads)
 //   $ netemu_serve --queue 512         # admission budget, in cost units
-//   $ netemu_serve --guard-share 0.5 --guard-brownout   # share + brownout
+//   $ netemu_serve --guard-share 0.5   # cap one client at half the budget
 //
-// Admission (docs/GUARD.md) is one cost-unit gate: --queue sets its budget
-// (default 256), and each of --guard-share, --guard-rate,
-// --guard-target-p95-ms and --guard-brownout turns on one more mechanism.
+// Admission (docs/GUARD.md) is one fixed policy: a cost-unit backlog gate
+// whose budget is --queue (default 256), plus a per-client fair-share cap
+// of --guard-share of that budget (default 1.0, never binding).  Any flag
+// not listed in main() exits 1 with "--<flag> was removed or never
+// existed"; docs/GUARD.md maps each removed admission flag to its
+// replacement.
 //
 // Stop with SIGINT/SIGTERM or a client {"op":"drain"} / {"op":"shutdown"}.
 // Signals and the drain op run the graceful drain (docs/LIFECYCLE.md): stop
@@ -75,26 +78,11 @@ void drain_and_stop(Server& server, QueryExecutor& executor,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
-
-  // Removed admission flags: Cli ignores unknown flags, so a stale script
-  // would otherwise run silently on a different admission config.
-  const struct {
-    const char* flag;
-    const char* instead;
-  } removed[] = {
-      {"guard", "the guard is always on; its defaults are the old count gate"},
-      {"guard-budget", "use --queue, the cost budget"},
-      {"no-guard-adaptive", "AIMD runs only with --guard-target-p95-ms > 0"},
-      {"no-guard-brownout", "brownout is off unless --guard-brownout"},
-  };
-  for (const auto& r : removed) {
-    if (cli.has(r.flag)) {
-      std::cerr << "netemu_serve: --" << r.flag << " was removed: "
-                << r.instead << "\n";
-      return 1;
-    }
-  }
+  const Cli cli(argc, argv,
+                {"cache-capacity", "cache-file", "deadline-ms", "drain-ms",
+                 "fault-plan", "guard-share", "hang-timeout-ms", "io-threads",
+                 "no-journal", "no-persist", "offload-threads", "port",
+                 "queue", "retry-after-ms", "threads"});
 
   // A fatal signal dumps the scope flight recorder (recent sheds, watchdog
   // fires, injected faults — with trace ids) to stderr before re-raising.
@@ -115,17 +103,11 @@ int main(int argc, char** argv) {
   exec_options.retry_after_hint_ms =
       static_cast<std::uint64_t>(cli.get_int("retry-after-ms", 50));
 
-  // Admission (docs/GUARD.md): a cost-unit budget, plus per-client fair
-  // share and rate limits, AIMD concurrency adaptation and brownout, each
-  // off unless its flag sets it.
+  // Admission (docs/GUARD.md): a cost-unit budget and a per-client fair
+  // share of it.
   exec_options.guard.cost_budget =
       static_cast<std::uint64_t>(cli.get_int("queue", 256));
   exec_options.guard.client_share = cli.get_double("guard-share", 1.0);
-  exec_options.guard.rate_units_per_s =
-      static_cast<double>(cli.get_int("guard-rate", 0));
-  exec_options.guard.target_p95_ms =
-      static_cast<double>(cli.get_int("guard-target-p95-ms", 0));
-  exec_options.guard.brownout = cli.has("guard-brownout");
 
   // Chaos mode: inject a deterministic fault plan into the daemon's own
   // sockets, workers, and cache writes (see docs/FAULTLINE.md).
@@ -231,8 +213,7 @@ int main(int argc, char** argv) {
             << " cache hits, " << s.computed << " computed, "
             << s.dedup_joins << " dedup joins, " << s.rejected
             << " rejected, " << s.hung << " hung, " << s.stale_served
-            << " stale, " << s.cancelled << " cancelled, " << s.browned_out
-            << " browned out)\n";
+            << " stale, " << s.cancelled << " cancelled)\n";
   if (injector) {
     const FaultInjector::Counts c = injector->counts();
     std::cerr << "faults injected: " << c.total() << " (" << c.drops

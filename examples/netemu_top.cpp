@@ -103,7 +103,8 @@ std::string pct(double num, double den) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv,
+                {"backends", "fleet", "interval-ms", "no-clear", "once"});
 
   std::vector<std::uint16_t> ports = parse_ports(cli.get("backends"));
   const auto fleet_port =

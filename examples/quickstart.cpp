@@ -22,7 +22,7 @@
 using namespace netemu;
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"guest-n", "host-side"});
   const auto guest_n = static_cast<std::size_t>(cli.get_int("guest-n", 1024));
   const auto side = static_cast<std::uint32_t>(cli.get_int("host-side", 8));
   Prng rng(2026);

@@ -46,7 +46,7 @@ TrafficDistribution make_traffic(const std::string& kind,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"hot", "k", "machine", "n", "seed", "traffic"});
   Prng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
 
   const std::string machine_name = cli.get("machine", "Mesh");

@@ -143,7 +143,7 @@ class FleetRouter {
     std::uint64_t probes = 0;     ///< background health probes sent
     std::uint64_t ejections = 0;  ///< breaker open transitions
     /// Guard pressure from the last health probe (0 until one answers):
-    /// pending admitted cost over the backend's effective limit.
+    /// pending admitted cost over the backend's cost budget.
     double pressure = 0.0;
   };
   struct Stats {

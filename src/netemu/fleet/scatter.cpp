@@ -277,7 +277,6 @@ std::string Scatterer::scatter_line(const Json& request) {
   merged.fields().erase("trial_hi");
   merged.fields().erase("degraded");
   merged.fields().erase("trials_completed");
-  merged.fields().erase("brownout");
   merged["trials"] = trials;
   merged["trial_rates"] = std::move(merged_rates);
   // The same estimator measure_throughput uses (util median, not a

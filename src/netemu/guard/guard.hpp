@@ -1,41 +1,28 @@
 #pragma once
 // netemu::guard — overload protection for the query service.
 //
-// The guard is the executor's only admission gate.  Its backlog check
-// always runs; the other three pieces are each selected by their own
-// option value and are off by default, so a default guard sheds unit-cost
-// queries exactly like a request counter would (docs/GUARD.md):
+// The guard is the executor's only admission gate, with one fixed policy
+// (docs/GUARD.md):
 //
 //  * cost-model admission: the executor admits estimated work units
 //    (guard/cost.hpp), not query count, so one huge estimate and one
-//    closed-form lookup stop being "equal" at the admission gate;
-//  * per-client isolation: every query carries a client identity (the
-//    "client" wire field, stamped per connection peer when absent); each
-//    client gets a token bucket (average-rate cap with burst debt) and a
-//    fair-share cap on in-flight cost, so a flood from one client sheds
-//    that client, not everybody;
-//  * adaptive concurrency: an AIMD controller resizes the effective cost
-//    limit between a floor and a ceiling from the observed executor.execute
-//    latency histogram (scope) — p95 above target multiplies the limit
-//    down, p95 at/below target adds a fixed increment back;
-//  * brownout: above a pressure threshold, estimate queries are served with
-//    a reduced trial sweep, marked "degraded":true and never cached, before
-//    the guard ever sheds them.
+//    closed-form lookup stop being "equal" at the admission gate.  With
+//    unit costs the backlog check sheds exactly like a request counter;
+//  * per-client fair share: every query carries a client identity (the
+//    "client" wire field, stamped per connection peer when absent), and
+//    one client's in-flight cost is capped at a fraction of the budget, so
+//    a flood from one client sheds that client, not everybody.
 //
 // The Guard itself is a decision box: the executor asks admit() before a
-// flight is created, reports complete() when one finishes, and reads
+// flight is created, calls release() when the flight is retired, and reads
 // pressure()/to_json() for the health report.  It takes its own lock and
 // may be called under the executor's.
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
-#include "netemu/scope/metrics.hpp"
-#include "netemu/service/query.hpp"
 #include "netemu/util/json.hpp"
 
 namespace netemu::guard {
@@ -67,127 +54,72 @@ class DrainRate {
 };
 
 struct Options {
-  /// Admission budget in cost units (guard/cost.hpp).  With unit costs and
-  /// every mechanism below at its default, the backlog check sheds iff
-  /// pending queries >= cost_budget.
+  /// Admission budget in cost units (guard/cost.hpp).  With unit costs the
+  /// backlog check sheds iff pending queries >= cost_budget.
   std::uint64_t cost_budget = 64;
 
   /// One client's in-flight cost may not exceed this fraction of the
-  /// effective limit while other work is pending (fair-share isolation).
+  /// budget while other work is pending (fair-share isolation).
   /// 1.0 is never binding: the backlog check fires first.
   double client_share = 1.0;
-
-  /// Per-client token bucket: average admission rate in units/second, with
-  /// a burst depth of two seconds of refill.  0 disables rate limiting.  A
-  /// query costing more than the remaining tokens is admitted into debt
-  /// (the bucket floor is -burst), so a huge estimate is paid off over time
-  /// instead of being unservable.
-  double rate_units_per_s = 0.0;
-
-  /// Bounded client map: least-recently-seen idle clients are evicted past
-  /// this many (their bucket state resets — acceptable for strangers).
-  std::size_t max_clients = 1024;
-
-  /// AIMD adaptive concurrency: the effective limit follows this
-  /// execute-latency target.  0 pins the limit to cost_budget.
-  double target_p95_ms = 0.0;
-
-  /// Brownout: under pressure, estimate queries run a reduced sweep
-  /// instead of their full trials.
-  bool brownout = false;
-
-  /// Test hook: monotonic milliseconds.  Unset = steady_clock.
-  std::function<std::uint64_t()> clock_ms;
 };
 
 class Guard {
  public:
+  /// Client identities tracked for fair share; past this many, the
+  /// least-recently-seen idle client is forgotten.
+  static constexpr std::size_t kMaxClients = 1024;
+
   struct Decision {
     bool admit = true;
-    bool brownout = false;     ///< serve a reduced-quality answer
-    unsigned trials = 0;       ///< reduced trial count when brownout
-    std::string reason;        ///< shed reason when !admit
-    /// Rate-limit sheds carry a token-refill hint; other sheds leave 0 and
-    /// the executor computes a drain-rate hint instead.
-    std::uint64_t retry_after_ms = 0;
+    std::string reason;  ///< shed reason when !admit
   };
 
-  /// `execute_hist` feeds the AIMD controller (the scope histogram the
-  /// executor records every request's residency into); may be null, which
-  /// disables adaptation.  Not owned; must outlive the guard.
-  Guard(Options options, const scope::Histogram* execute_hist);
+  explicit Guard(Options options);
 
-  /// Admission decision for one query about to become a flight leader.
-  /// On admit the cost is charged (pending cost, client bucket + share);
-  /// the caller MUST pair it with complete() or release().
-  Decision admit(const std::string& client, const Query& q,
-                 std::uint64_t cost);
+  /// Admission decision for one flight about to be created.  On admit the
+  /// cost is charged (pending cost + the client's share); the caller MUST
+  /// pair it with release().
+  Decision admit(const std::string& client, std::uint64_t cost);
 
-  /// A charged flight finished (any outcome).  Also ticks the AIMD
-  /// controller when its adjust interval has elapsed.
-  void complete(const std::string& client, std::uint64_t cost);
-
-  /// A charged flight was dropped without running (drain shed of a queued
-  /// task, pool rejection): un-charge without feeding the controller.
+  /// A charged flight was retired (any outcome, run or not): un-charge it.
   void release(const std::string& client, std::uint64_t cost);
 
-  /// Pending admitted cost / effective limit.  >= 1.0 means the gate is
-  /// effectively closed; the health report exposes it for fleet routing.
+  /// Pending admitted cost / budget.  >= 1.0 means the gate is effectively
+  /// closed; the health report exposes it for fleet routing.
   double pressure() const;
 
   std::uint64_t pending_cost() const;
-  std::uint64_t effective_limit() const;
   std::size_t clients_tracked() const;
 
   struct Counters {
     std::uint64_t admitted = 0;
-    std::uint64_t shed_backlog = 0;   ///< cost budget full
-    std::uint64_t shed_share = 0;     ///< client over fair share
-    std::uint64_t shed_rate = 0;      ///< client token bucket empty
-    std::uint64_t brownouts = 0;      ///< admits degraded by brownout
-    std::uint64_t limit_increases = 0;
-    std::uint64_t limit_decreases = 0;
+    std::uint64_t shed_backlog = 0;  ///< cost budget full
+    std::uint64_t shed_share = 0;    ///< client over fair share
   };
   Counters counters() const;
 
-  /// Health-report block: budget, limit, pending, pressure, counters.
+  /// Health-report block: budget, pending, pressure, clients, counters.
   Json to_json() const;
 
   const Options& options() const { return options_; }
 
  private:
   struct ClientState {
-    double tokens = 0.0;
-    std::uint64_t last_refill_ms = 0;
     std::uint64_t in_flight_cost = 0;
-    std::uint64_t last_seen_ms = 0;
+    std::uint64_t last_seen = 0;  ///< admit() sequence number, for LRU
   };
 
-  /// AIMD runs iff a latency target is set and there is a histogram to
-  /// read it from.
-  bool runs_aimd() const {
-    return options_.target_p95_ms > 0.0 && execute_hist_ != nullptr;
-  }
-  std::uint64_t now_ms() const;
-  ClientState& client_state_locked(const std::string& client,
-                                   std::uint64_t now);
-  void refill_locked(ClientState& c, std::uint64_t now) const;
-  void maybe_adjust_locked(std::uint64_t now);
-  void evict_idle_locked(std::uint64_t now);
+  double pressure_locked() const;
+  void evict_idle_locked();
 
   Options options_;
-  const scope::Histogram* execute_hist_;
-  const std::chrono::steady_clock::time_point started_;
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, ClientState> clients_;
   std::uint64_t pending_cost_ = 0;
-  double burst_units_ = 0.0;  ///< token-bucket depth (0 = no rate limit)
-  double limit_ = 0.0;  ///< AIMD-effective cost limit
+  std::uint64_t admit_calls_ = 0;  ///< sequence clock for last_seen
   Counters counters_;
-  std::uint64_t last_adjust_ms_ = 0;
-  scope::Histogram::Snapshot last_snapshot_;
-  bool have_snapshot_ = false;
 };
 
 }  // namespace netemu::guard

@@ -86,7 +86,7 @@ QueryExecutor::QueryExecutor(Options options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity, options_.cache_file,
              options_.cache_journal),
-      guard_(options_.guard, &execute_us_hist()),
+      guard_(options_.guard),
       pool_(options_.threads),
       sched_(pool_, guard::FairScheduler::Options{}) {
   if (!options_.compute) {
@@ -142,7 +142,7 @@ void QueryExecutor::watchdog_loop() {
       flight->cancel.request_cancel();
       ++stats_.hung;
       // Return the guard charge now, not when (if) the compute returns.
-      retire_locked(*flight, /*ran=*/false);
+      retire_locked(*flight);
       watchdog_counter().inc();
       scope::FlightRecorder::global().record(
           scope::FlightRecorder::Kind::kWatchdog, flight->trace_id,
@@ -253,7 +253,6 @@ Response QueryExecutor::execute(const Query& q) {
 
   std::shared_ptr<Flight> flight;
   bool leader = false;
-  unsigned brownout_trials = 0;  // 0 = serve the full sweep
   {
     std::lock_guard lock(mutex_);
     ++stats_.requests;
@@ -278,7 +277,7 @@ Response QueryExecutor::execute(const Query& q) {
         response.overloaded = true;
         return finish(response);
       }
-      const guard::Guard::Decision decision = guard_.admit(client, q, cost);
+      const guard::Guard::Decision decision = guard_.admit(client, cost);
       if (!decision.admit) {
         ++stats_.rejected;
         shed_counter().inc();
@@ -289,17 +288,12 @@ Response QueryExecutor::execute(const Query& q) {
         exec_span.set_note("shed");
         response.error = "overloaded: " + decision.reason;
         response.overloaded = true;
-        // Rate-limit sheds carry a token-refill hint; backlog/share sheds
-        // scale with how long the admitted cost takes to drain.
-        response.retry_after_ms =
-            decision.retry_after_ms != 0
-                ? decision.retry_after_ms
-                : drain_rate_.hint_ms(
-                      static_cast<double>(guard_.pending_cost()),
-                      options_.retry_after_hint_ms);
+        // The hint scales with how long the admitted cost takes to drain.
+        response.retry_after_ms = drain_rate_.hint_ms(
+            static_cast<double>(guard_.pending_cost()),
+            options_.retry_after_hint_ms);
         return finish(response);
       }
-      brownout_trials = decision.trials;  // 0 unless browned out
       flight = std::make_shared<Flight>();
       flight->started = start;
       flight->key = key;
@@ -324,7 +318,7 @@ Response QueryExecutor::execute(const Query& q) {
     const Query task_query = q;
     const std::uint64_t submit_us = scope::now_us();
     std::function<void()> task = [this, task_query, key, tid, submit_us,
-                                  brownout_trials, flight] {
+                                  flight] {
       if (tid != 0) {
         // Admission-to-pickup latency: starts at submit, ends now that a
         // worker owns the task.
@@ -342,12 +336,7 @@ Response QueryExecutor::execute(const Query& q) {
       const auto compute_start = Clock::now();
       scope::SpanTimer sim_span(tid, "sim.run");
       try {
-        // Brownout: run the reduced sweep under the ORIGINAL flight (cache
-        // key unchanged) — the result document is patched below to look
-        // like a degraded partial of the full request.
-        Query run_query = task_query;
-        if (brownout_trials > 0) run_query.trials = brownout_trials;
-        doc = options_.compute(run_query, token);
+        doc = options_.compute(task_query, token);
         computed.result = doc.dump();
         computed.ok = true;
         computed.degraded = doc["degraded"].as_bool(false);
@@ -415,33 +404,17 @@ Response QueryExecutor::execute(const Query& q) {
           ++stats_.stale_served;
         } else if (computed.ok) {
           ++stats_.computed;
-          if (brownout_trials > 0) ++stats_.browned_out;
         } else {
           ++stats_.errors;
         }
-        // Drain-rate sample: only full, uncancelled, unbrowned computes —
-        // a sweep that quit early (or was shortened by policy) would make
-        // the per-unit estimate optimistic.
-        if (computed.ok && !computed.stale && !computed.degraded &&
-            brownout_trials == 0) {
+        // Drain-rate sample: only full, uncancelled computes — a sweep that
+        // quit early would make the per-unit estimate optimistic.
+        if (computed.ok && !computed.stale && !computed.degraded) {
           drain_rate_.note(compute_micros / 1000.0, flight->cost,
                            pool_.size());
         }
         // No-op when the watchdog already abandoned this flight.
-        retire_locked(*flight, /*ran=*/true);
-      }
-      // A completed brownout answers as a degraded partial of the FULL
-      // request: trials echoes what was asked, trials_completed what ran.
-      // Set after the cancellation accounting above — a brownout is a
-      // policy choice, not a reclaimed compute.
-      if (brownout_trials > 0 && computed.ok && !computed.stale &&
-          !computed.degraded) {
-        doc["trials_completed"] = doc["trials"];
-        doc["trials"] = task_query.trials;
-        doc["degraded"] = true;
-        doc["brownout"] = true;
-        computed.result = doc.dump();
-        computed.degraded = true;
+        retire_locked(*flight);
       }
       // Errors are not cached: a transient failure should not poison the
       // content address forever.  (Stale fallbacks are already in cache.)
@@ -562,7 +535,7 @@ void QueryExecutor::shed_unstarted_flight(
   {
     std::lock_guard lock(mutex_);
     was_draining = draining_;
-    retire_locked(*flight, /*ran=*/false);
+    retire_locked(*flight);
     ++stats_.rejected;
   }
   shed_counter().inc();
@@ -617,17 +590,13 @@ QueryExecutor::ComputeTimes QueryExecutor::compute_times() const {
   return t;
 }
 
-void QueryExecutor::retire_locked(Flight& flight, bool ran) {
+void QueryExecutor::retire_locked(Flight& flight) {
   if (flight.retired) return;
   flight.retired = true;
   // Only retire_locked unregisters, so an unretired flight still owns its
   // key's slot in flights_.
   flights_.erase(flight.key);
-  if (ran) {
-    guard_.complete(flight.client, flight.cost);
-  } else {
-    guard_.release(flight.client, flight.cost);
-  }
+  guard_.release(flight.client, flight.cost);
 }
 
 double QueryExecutor::pressure() const { return guard_.pressure(); }

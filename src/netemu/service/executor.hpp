@@ -4,8 +4,8 @@
 //   execute(query)
 //     ├─ cache hit  ──────────────────────────────► O(1) answer
 //     ├─ identical query already in flight ───────► join it (single-flight)
-//     ├─ guard refuses (cost budget full, ───────► shed: "overloaded" +
-//     │  client over share or rate limited)        retry_after_ms hint
+//     ├─ guard refuses (cost budget full ────────► shed: "overloaded" +
+//     │  or client over fair share)                retry_after_ms hint
 //     └─ otherwise: queue on the fair scheduler, run plan_query() on the
 //        pool, publish to every waiter, store the result under its
 //        content address.
@@ -107,8 +107,8 @@ class QueryExecutor {
     /// keeps the pre-cancellation behavior.
     std::function<Json(const Query&, const CancelToken&)> compute;
     /// Admission (netemu::guard), the one gate every new flight passes.
-    /// The defaults shed on cost backlog alone; fair-share caps, token
-    /// buckets, AIMD and brownout are each selected by their own setting.
+    /// The defaults shed on cost backlog alone; client_share < 1 adds the
+    /// per-client fair-share cap.
     guard::Options guard;
   };
 
@@ -144,8 +144,6 @@ class QueryExecutor {
     std::uint64_t cancelled = 0;       ///< computes stopped by cooperative
                                        ///< cancellation (degraded partials
                                        ///< included)
-    std::uint64_t browned_out = 0;     ///< estimates served with a reduced
-                                       ///< sweep by the guard's brownout
   };
   Stats stats() const;
 
@@ -187,7 +185,7 @@ class QueryExecutor {
 
   /// The admission guard (never null).
   const guard::Guard* overload_guard() const { return &guard_; }
-  /// Guard pressure (pending admitted cost / effective limit).  >= 1.0
+  /// Guard pressure (pending admitted cost / cost budget).  >= 1.0
   /// means the admission gate is effectively closed.
   double pressure() const;
 
@@ -220,9 +218,8 @@ class QueryExecutor {
   void watchdog_loop();
   /// Unregister a flight and return its guard charge, exactly once: the
   /// watchdog, the finishing task and the shed callback may each reach here
-  /// for the same flight.  `ran` feeds the guard's latency controller.
-  /// Caller holds mutex_.
-  void retire_locked(Flight& flight, bool ran);
+  /// for the same flight.  Caller holds mutex_.
+  void retire_locked(Flight& flight);
   /// Answer a queued-but-never-started flight (drain shed, pool refusal):
   /// retire it and publish an overloaded/draining response to its waiters.
   void shed_unstarted_flight(const std::shared_ptr<Flight>& flight,

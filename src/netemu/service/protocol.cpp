@@ -49,7 +49,6 @@ std::string stats_line(QueryExecutor& exec, const Json& request) {
   result["hung"] = s.hung;
   result["stale_served"] = s.stale_served;
   result["cancelled"] = s.cancelled;
-  result["browned_out"] = s.browned_out;
   Json cache = Json::object();
   cache["size"] = exec.cache().size();
   cache["capacity"] = exec.cache().capacity();
@@ -136,8 +135,7 @@ std::string health_line(QueryExecutor& exec) {
   compute["epoch_unix_s"] = scope::process_epoch_unix_s();
 
   // Overload pressure for fleet routing: pending admitted cost over the
-  // guard's effective limit.  >= 1.0 means the admission gate is
-  // effectively closed.
+  // cost budget.  >= 1.0 means the admission gate is effectively closed.
   const double pressure = guard.pressure();
 
   Json result = Json::object();

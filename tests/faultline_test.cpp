@@ -430,10 +430,10 @@ TEST(ExecutorFaults, WatchdogCancelsHungFlightAndFreesSlot) {
   EXPECT_TRUE(executor.cache().get(hung.cache_key()).has_value());
 }
 
-TEST(ExecutorFaults, WatchdogFreesSlotWithShareAimdAndBrownoutOn) {
-  // The same budget-1 "slot freed" case with every optional admission
-  // mechanism on: the abandoned flight's charge must come back at
-  // abandonment, not when its compute finally returns.
+TEST(ExecutorFaults, WatchdogFreesSlotWithFairShareOn) {
+  // The same budget-1 "slot freed" case with the fair-share cap on: the
+  // abandoned flight's charge must come back at abandonment, not when its
+  // compute finally returns.
   auto gate = std::make_shared<std::promise<void>>();
   auto gate_future =
       std::make_shared<std::shared_future<void>>(gate->get_future());
@@ -442,8 +442,6 @@ TEST(ExecutorFaults, WatchdogFreesSlotWithShareAimdAndBrownoutOn) {
   options.threads = 2;
   options.guard.cost_budget = 1;
   options.guard.client_share = 0.5;
-  options.guard.target_p95_ms = 250;
-  options.guard.brownout = true;
   options.hang_timeout_ms = 60;
   options.compute = [gate_future, calls](const Query& q, const CancelToken&) {
     if (calls->fetch_add(1) == 0) gate_future->wait();  // first call hangs

@@ -1,10 +1,9 @@
 // Tests for netemu::guard overload protection (docs/GUARD.md): the query
 // cost model, the backlog drain-rate estimator behind dynamic
-// retry_after_ms, the Guard decision box (backlog / fair-share / rate-limit
-// admission, brownout, AIMD limit adaptation, bounded client tracking), the
-// weighted-DRR fair scheduler, and the executor integration (shed shapes,
-// brownout responses staying out of the cache, count-gate parity of the
-// default options).
+// retry_after_ms, the Guard decision box (backlog / fair-share admission,
+// bounded client tracking), the weighted-DRR fair scheduler, and the
+// executor integration (shed shapes, count-gate parity of the default
+// options).
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@
 #include "netemu/guard/cost.hpp"
 #include "netemu/guard/fair_queue.hpp"
 #include "netemu/guard/guard.hpp"
-#include "netemu/scope/metrics.hpp"
 #include "netemu/service/executor.hpp"
 #include "netemu/util/json.hpp"
 #include "netemu/util/thread_pool.hpp"
@@ -123,86 +121,56 @@ TEST(DrainRate, ParallelWorkersDrainFaster) {
 TEST(GuardAdmit, EmptyExecutorAdmitsAnything) {
   guard::Options opts;
   opts.cost_budget = 100;
-  guard::Guard guard(opts, nullptr);
+  guard::Guard guard(opts);
 
   // The biggest legal estimate must stay servable when nothing competes,
   // even though it alone exceeds the whole budget.
-  const guard::Guard::Decision d =
-      guard.admit("a", estimate_query(1e6, 1), 500);
+  const guard::Guard::Decision d = guard.admit("a", 500);
   EXPECT_TRUE(d.admit);
   EXPECT_EQ(guard.pending_cost(), 500u);
   EXPECT_GT(guard.pressure(), 1.0);
-  guard.complete("a", 500);
+  guard.release("a", 500);
   EXPECT_EQ(guard.pending_cost(), 0u);
 }
 
 TEST(GuardAdmit, BacklogShedsOnceWorkIsPending) {
   guard::Options opts;
   opts.cost_budget = 100;
-  guard::Guard guard(opts, nullptr);
+  guard::Guard guard(opts);
 
-  ASSERT_TRUE(guard.admit("a", closed_form_query(), 90).admit);
-  const guard::Guard::Decision d =
-      guard.admit("b", closed_form_query(), 20);
+  ASSERT_TRUE(guard.admit("a", 90).admit);
+  const guard::Guard::Decision d = guard.admit("b", 20);
   EXPECT_FALSE(d.admit);
   EXPECT_EQ(d.reason, "cost budget full");
-  // Backlog sheds leave the hint to the executor's drain-rate estimate.
-  EXPECT_EQ(d.retry_after_ms, 0u);
   EXPECT_EQ(guard.counters().shed_backlog, 1u);
   // The shed charged nothing: completing the admitted flight reopens.
-  guard.complete("a", 90);
-  EXPECT_TRUE(guard.admit("b", closed_form_query(), 20).admit);
+  guard.release("a", 90);
+  EXPECT_TRUE(guard.admit("b", 20).admit);
 }
 
 TEST(GuardAdmit, FairShareCapsOneClientNotTheOthers) {
   guard::Options opts;
   opts.cost_budget = 100;
   opts.client_share = 0.5;  // one client may hold at most 50 units
-  guard::Guard guard(opts, nullptr);
+  guard::Guard guard(opts);
 
-  ASSERT_TRUE(guard.admit("greedy", closed_form_query(), 40).admit);
+  ASSERT_TRUE(guard.admit("greedy", 40).admit);
   // Second query would put the same client at 80 > 50: shed...
-  const guard::Guard::Decision d =
-      guard.admit("greedy", closed_form_query(), 40);
+  const guard::Guard::Decision d = guard.admit("greedy", 40);
   EXPECT_FALSE(d.admit);
   EXPECT_EQ(d.reason, "client over fair share");
   // ...while another client's identical query fits the global budget.
-  EXPECT_TRUE(guard.admit("polite", closed_form_query(), 40).admit);
+  EXPECT_TRUE(guard.admit("polite", 40).admit);
   EXPECT_EQ(guard.counters().shed_share, 1u);
-  guard.complete("greedy", 40);
-  guard.complete("polite", 40);
-}
-
-TEST(GuardAdmit, RateLimitRefillsOverFakeTime) {
-  std::uint64_t now = 0;
-  guard::Options opts;
-  opts.cost_budget = 1000;
-  opts.rate_units_per_s = 10.0;  // burst defaults to 2 s of refill = 20
-  opts.clock_ms = [&now] { return now; };
-  guard::Guard guard(opts, nullptr);
-
-  // The full burst admits; the 21st unit finds an empty bucket.
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(guard.admit("a", closed_form_query(), 1).admit) << i;
-  }
-  const guard::Guard::Decision d = guard.admit("a", closed_form_query(), 1);
-  EXPECT_FALSE(d.admit);
-  EXPECT_EQ(d.reason, "client rate limited");
-  // Token-refill hint: one unit at 10/s is 100 ms away.
-  EXPECT_EQ(d.retry_after_ms, 100u);
-  EXPECT_EQ(guard.counters().shed_rate, 1u);
-
-  now += 100;  // one token refills
-  EXPECT_TRUE(guard.admit("a", closed_form_query(), 1).admit);
-  // A different client has its own untouched bucket all along.
-  EXPECT_TRUE(guard.admit("b", closed_form_query(), 1).admit);
+  guard.release("greedy", 40);
+  guard.release("polite", 40);
 }
 
 TEST(GuardAdmit, ReleaseUnchargesWithoutControllerFeedback) {
   guard::Options opts;
   opts.cost_budget = 100;
-  guard::Guard guard(opts, nullptr);
-  ASSERT_TRUE(guard.admit("a", closed_form_query(), 60).admit);
+  guard::Guard guard(opts);
+  ASSERT_TRUE(guard.admit("a", 60).admit);
   EXPECT_DOUBLE_EQ(guard.pressure(), 0.6);
   guard.release("a", 60);
   EXPECT_DOUBLE_EQ(guard.pressure(), 0.0);
@@ -212,119 +180,18 @@ TEST(GuardAdmit, ReleaseUnchargesWithoutControllerFeedback) {
 TEST(GuardClients, IdleClientsEvictedPastTheCap) {
   guard::Options opts;
   opts.cost_budget = 100;
-  opts.max_clients = 2;
-  guard::Guard guard(opts, nullptr);
+  guard::Guard guard(opts);
 
-  ASSERT_TRUE(guard.admit("a", closed_form_query(), 1).admit);
-  guard.complete("a", 1);
-  ASSERT_TRUE(guard.admit("b", closed_form_query(), 1).admit);
-  guard.complete("b", 1);
-  // The third client evicts the least-recently-seen idle one: bounded map.
-  ASSERT_TRUE(guard.admit("c", closed_form_query(), 1).admit);
-  guard.complete("c", 1);
-  EXPECT_LE(guard.clients_tracked(), 2u);
-}
-
-// -------------------------------------------------------------------- brownout
-
-TEST(GuardBrownout, EstimatesDegradeAbovePressureThreshold) {
-  guard::Options opts;
-  opts.cost_budget = 100;
-  opts.brownout = true;
-  guard::Guard guard(opts, nullptr);
-
-  // 80/100 pending puts pressure past the 0.75 default (a closed-form
-  // filler, so the brownout counter below counts only the victim)...
-  ASSERT_TRUE(guard.admit("a", closed_form_query(), 80).admit);
-  // ...so the next admitted estimate keeps ceil(8 x 0.25) = 2 trials.
-  const guard::Guard::Decision d =
-      guard.admit("b", estimate_query(1024, 8), 8);
-  ASSERT_TRUE(d.admit);
-  EXPECT_TRUE(d.brownout);
-  EXPECT_EQ(d.trials, 2u);
-  EXPECT_EQ(guard.counters().brownouts, 1u);
-
-  // Closed-form kinds never brown out — there is no sweep to shrink.
-  const guard::Guard::Decision cf = guard.admit("c", closed_form_query(), 1);
-  ASSERT_TRUE(cf.admit);
-  EXPECT_FALSE(cf.brownout);
-}
-
-TEST(GuardBrownout, KillSwitchAndLowPressureServeTheFullSweep) {
-  guard::Options opts;
-  opts.cost_budget = 100;
-  opts.brownout = false;  // kill switch
-  guard::Guard off(opts, nullptr);
-  ASSERT_TRUE(off.admit("a", closed_form_query(), 80).admit);
-  EXPECT_FALSE(off.admit("b", estimate_query(1024, 8), 8).brownout);
-
-  opts.brownout = true;
-  guard::Guard calm(opts, nullptr);
-  // Pressure 0.08 after charging: nowhere near the threshold.
-  EXPECT_FALSE(calm.admit("a", estimate_query(1024, 8), 8).brownout);
-}
-
-// ------------------------------------------------------------------------ AIMD
-
-TEST(GuardAimd, LimitTracksTheLatencyTarget) {
-  std::uint64_t now = 0;
-  scope::Histogram hist;  // stands in for the executor's execute histogram
-  guard::Options opts;
-  opts.cost_budget = 100;
-  opts.target_p95_ms = 10.0;
-  opts.clock_ms = [&now] { return now; };
-  guard::Guard guard(opts, &hist);
-  EXPECT_EQ(guard.effective_limit(), 100u);
-
-  const auto tick = [&] {
-    ASSERT_TRUE(guard.admit("a", closed_form_query(), 1).admit);
-    guard.complete("a", 1);  // complete() runs the controller
-  };
-
-  now = 150;
-  tick();  // first adjustment only baselines the snapshot
-  for (int i = 0; i < 10; ++i) hist.observe(50000.0);  // 50 ms in us
-  now = 300;
-  tick();  // p95 ~50 ms > 10 ms target: multiplicative decrease
-  EXPECT_EQ(guard.effective_limit(), 70u);  // 100 x 0.7
-  EXPECT_GE(guard.counters().limit_decreases, 1u);
-
-  for (int i = 0; i < 10; ++i) hist.observe(1000.0);  // 1 ms: healthy
-  now = 450;
-  tick();  // p95 below target: additive increase of 5% of the budget
-  EXPECT_EQ(guard.effective_limit(), 75u);
-  EXPECT_GE(guard.counters().limit_increases, 1u);
-}
-
-TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
-  std::uint64_t now = 0;
-  scope::Histogram hist;
-  guard::Options opts;
-  opts.cost_budget = 100;
-  opts.target_p95_ms = 250;
-  opts.clock_ms = [&now] { return now; };
-
-  {
-    guard::Guard guard(opts, &hist);
-    now = 150;
-    guard.admit("a", closed_form_query(), 1);
-    guard.complete("a", 1);  // baseline
-    for (int i = 0; i < 3; ++i) hist.observe(90000.0);  // 3 < min_samples
-    now = 300;
-    guard.admit("a", closed_form_query(), 1);
-    guard.complete("a", 1);
-    EXPECT_EQ(guard.effective_limit(), 100u);  // thin window: no vote
+  // One idle client past the cap evicts the least-recently-seen idle one:
+  // bounded map.
+  const std::size_t clients = guard::Guard::kMaxClients + 1;
+  for (std::size_t i = 0; i < clients; ++i) {
+    const std::string client = "c" + std::to_string(i);
+    ASSERT_TRUE(guard.admit(client, 1).admit) << i;
+    guard.release(client, 1);
   }
-  {
-    opts.target_p95_ms = 0;  // kill switch pins the limit outright
-    guard::Guard guard(opts, &hist);
-    for (int i = 0; i < 20; ++i) hist.observe(90000.0);
-    now += 1000;
-    guard.admit("a", closed_form_query(), 1);
-    guard.complete("a", 1);
-    EXPECT_EQ(guard.effective_limit(), 100u);
-    EXPECT_EQ(guard.counters().limit_decreases, 0u);
-  }
+  EXPECT_EQ(guard::Guard::kMaxClients, 1024u);
+  EXPECT_LE(guard.clients_tracked(), guard::Guard::kMaxClients);
 }
 
 // --------------------------------------------------------------- health block
@@ -332,18 +199,16 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
 TEST(GuardJson, HealthBlockCarriesTheDials) {
   guard::Options opts;
   opts.cost_budget = 100;
-  guard::Guard guard(opts, nullptr);
-  ASSERT_TRUE(guard.admit("a", closed_form_query(), 25).admit);
+  guard::Guard guard(opts);
+  ASSERT_TRUE(guard.admit("a", 25).admit);
 
   const Json doc = guard.to_json();
   EXPECT_EQ(doc["cost_budget"].as_uint(0), 100u);
-  EXPECT_EQ(doc["limit"].as_uint(0), 100u);
   EXPECT_EQ(doc["pending_cost"].as_uint(99), 25u);
   EXPECT_DOUBLE_EQ(doc["pressure"].as_number(0.0), 0.25);
   EXPECT_EQ(doc["admitted"].as_uint(0), 1u);
   EXPECT_EQ(doc["clients"].as_uint(0), 1u);
-  EXPECT_FALSE(doc["adaptive"].as_bool(true));
-  guard.complete("a", 25);
+  guard.release("a", 25);
 }
 
 // ------------------------------------------------------------- fair scheduler
@@ -492,73 +357,14 @@ TEST(ExecutorGuard, ShedResponsesCarryOverloadedAndAHint) {
   EXPECT_EQ(exec.stats().rejected, 1u);
 }
 
-TEST(ExecutorGuard, BrownoutAnswersDegradedAndIsNeverCached) {
-  QueryExecutor::Options options;
-  options.threads = 2;
-  options.guard.cost_budget = 12;
-  options.guard.brownout = true;
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  options.compute = [&](const Query& q, const CancelToken&) {
-    if (q.n >= 1024) {  // the pressure flight parks until released
-      std::unique_lock lock(gate_mutex);
-      gate_cv.wait(lock, [&] { return gate_open; });
-    }
-    Json doc = Json::object();
-    doc["n"] = q.n;
-    doc["trials"] = q.trials;  // echoes the (possibly reduced) sweep it ran
-    return doc;
-  };
-  QueryExecutor exec(options);
-
-  // Park an 8-unit estimate: 8/12 pending is below the 0.75 threshold...
-  // (Distinct client identities, or the 0.5 fair-share cap fires first.)
-  Query parked = estimate_query(1024, 8);
-  parked.client = "a";
-  Response big;
-  std::thread leader([&] { big = exec.execute(parked); });
-  ASSERT_TRUE(eventually([&] { return exec.pending() == 1; }));
-
-  // ...until this 4-unit estimate charges 12/12 = 1.0: admitted, browned
-  // out to ceil(8 x 0.25) = 2 trials, answered as a degraded partial of
-  // the full request.
-  Query wants_full = estimate_query(512, 8);
-  wants_full.client = "b";
-  const Response r = exec.execute(wants_full);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(r.degraded);
-  EXPECT_NE(r.result.find("\"degraded\":true"), std::string::npos) << r.result;
-  EXPECT_NE(r.result.find("\"brownout\":true"), std::string::npos) << r.result;
-  EXPECT_NE(r.result.find("\"trials\":8"), std::string::npos) << r.result;
-  EXPECT_NE(r.result.find("\"trials_completed\":2"), std::string::npos)
-      << r.result;
-  EXPECT_EQ(exec.stats().browned_out, 1u);
-
-  {
-    std::lock_guard lock(gate_mutex);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  leader.join();
-  ASSERT_TRUE(big.ok) << big.error;
-
-  // The degraded partial must not poison the content address: asking again
-  // on a calm executor recomputes the full sweep.
-  const Response again = exec.execute(wants_full);
-  ASSERT_TRUE(again.ok) << again.error;
-  EXPECT_FALSE(again.cache_hit);
-  EXPECT_FALSE(again.degraded);
-}
-
 // ------------------------------------------------------- count-gate parity
 
 TEST(ExecutorGuard, DefaultsShedExactlyLikeTheCountGate) {
   // With unit costs, the default admission config is the old request-count
   // gate: a new flight sheds iff pending >= budget.  A scripted mix of
   // arrivals and completions from two client identities checks that rule
-  // at every arrival, and that no share cap, brownout or limit change ever
-  // fires under the defaults.
+  // at every arrival, and that no share cap ever fires under the
+  // defaults.
   for (const std::uint64_t budget : {1u, 3u, 8u}) {
     SCOPED_TRACE("budget=" + std::to_string(budget));
     QueryExecutor::Options options;
@@ -643,12 +449,6 @@ TEST(ExecutorGuard, DefaultsShedExactlyLikeTheCountGate) {
     const guard::Guard::Counters c = exec.overload_guard()->counters();
     EXPECT_EQ(c.shed_backlog, sheds);
     EXPECT_EQ(c.shed_share, 0u);
-    EXPECT_EQ(c.shed_rate, 0u);
-    EXPECT_EQ(c.brownouts, 0u);
-    EXPECT_EQ(c.limit_increases, 0u);
-    EXPECT_EQ(c.limit_decreases, 0u);
-    EXPECT_EQ(exec.overload_guard()->effective_limit(), budget);
-    EXPECT_EQ(exec.stats().browned_out, 0u);
     EXPECT_EQ(exec.stats().rejected, sheds);
   }
 }

@@ -502,9 +502,20 @@ TEST(FleetScatter, StragglerRetryCoversAStalledBackend) {
   // One backend stalls every compute for far longer than the straggler
   // deadline; its sub-query is hedged to a different backend and the merge
   // still comes back full and bit-identical.
+  //
+  // The stall must outlast the healthy shards' landing, the straggler
+  // deadline (twice that) and the retry's own compute.  It is scaled from
+  // one timed whole-query compute, so the premise also holds in Debug and
+  // sanitizer builds, where a compute takes seconds.
+  const auto timed_from = std::chrono::steady_clock::now();
+  (void)reference_result(estimate_query(9, 1));
+  const auto compute_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - timed_from)
+                              .count();
   FaultPlan stall;
   stall.stall_p = 1.0;
-  stall.stall_ms = 2500;
+  stall.stall_ms = static_cast<std::uint32_t>(
+      std::max<std::int64_t>(2500, 4 * compute_ms));
   FaultInjector injector(stall);
   QueryExecutor::Options stalled_options;
   stalled_options.faults = &injector;
@@ -516,7 +527,12 @@ TEST(FleetScatter, StragglerRetryCoversAStalledBackend) {
   const std::uint16_t p_stalled = stalled.start();
   const std::uint16_t p_a = healthy_a.start();
   const std::uint16_t p_b = healthy_b.start();
-  FleetRouter fleet(fast_router_options({p_stalled, p_a, p_b}));
+  FleetRouter::Options router_options =
+      fast_router_options({p_stalled, p_a, p_b});
+  // Only the straggler retry may rescue the stalled shard, not an attempt
+  // timeout.  In a Release build this is the usual 5 s.
+  router_options.client.attempt_timeout_ms = 2 * stall.stall_ms;
+  FleetRouter fleet(router_options);
 
   std::vector<std::size_t> fleet_owners;
   Json fq = query_with_distinct_owners(fleet, 9, 3, &fleet_owners);
@@ -535,11 +551,9 @@ TEST(FleetScatter, StragglerRetryCoversAStalledBackend) {
           .value();
 
   bool shutdown = false;
-  const auto start = std::chrono::steady_clock::now();
   const std::string line = door.handle_line(fq.dump(), &shutdown);
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
+  // Sampled the moment the merged answer is back (checked below).
+  const std::uint64_t stalled_computed = stalled.executor.stats().computed;
 
   EXPECT_EQ(result_dump(line), fleet_golden);
   EXPECT_FALSE(ok_doc(line)["degraded"].as_bool(false));
@@ -551,8 +565,11 @@ TEST(FleetScatter, StragglerRetryCoversAStalledBackend) {
                 .counter("netemu_scatter_straggler_retries_total", "")
                 .value(),
             retries_before + 1);
-  // The retry answered well before the 2.5 s stall released the original.
-  EXPECT_LT(ms, 2000) << "straggler retry did not rescue the scatter";
+  // Event order, not wall time: the retry answered before the stall
+  // released the original, so the stalled compute had not finished when
+  // the merged answer came back.
+  EXPECT_EQ(stalled_computed, 0u)
+      << "straggler retry did not rescue the scatter";
 }
 
 TEST(FleetScatter, StragglerWinnerCancelsTheStalledTwin) {

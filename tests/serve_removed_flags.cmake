@@ -3,7 +3,8 @@
 # on a different admission config.
 #
 #   cmake -DSERVE=<path to netemu_serve> -P serve_removed_flags.cmake
-foreach(flag --guard --guard-budget --no-guard-adaptive --no-guard-brownout)
+foreach(flag --guard --guard-budget --no-guard-adaptive --no-guard-brownout
+             --guard-rate --guard-target-p95-ms --guard-brownout)
   execute_process(
     COMMAND ${SERVE} --port 0 --no-persist ${flag}
     RESULT_VARIABLE rc

@@ -356,7 +356,7 @@ TEST(Cli, ParsesFlagsAndPositional) {
   // it — documented Cli behavior, so keep booleans before other flags.)
   const char* argv[] = {"prog", "--n=128", "pos1", "--verbose",
                         "--name", "mesh"};
-  Cli cli(6, argv);
+  Cli cli(6, argv, {"n", "verbose", "name"});
   EXPECT_EQ(cli.get_int("n", 0), 128);
   EXPECT_TRUE(cli.has("verbose"));
   EXPECT_EQ(cli.get("name"), "mesh");
@@ -366,10 +366,28 @@ TEST(Cli, ParsesFlagsAndPositional) {
 
 TEST(Cli, DefaultsWhenMissing) {
   const char* argv[] = {"prog"};
-  Cli cli(1, argv);
+  Cli cli(1, argv, {"n", "x", "anything"});
   EXPECT_EQ(cli.get_int("n", 7), 7);
   EXPECT_EQ(cli.get_double("x", 2.5), 2.5);
   EXPECT_FALSE(cli.has("anything"));
+}
+
+TEST(Cli, UndeclaredFlagExitsWithOneLineInBothForms) {
+  // A deleted or misspelled flag fails loudly with one stderr line that
+  // names the program's basename, in the "--x v" and "--x=v" forms alike.
+  const char* spaced[] = {"/usr/bin/prog", "--n", "3", "--gone", "v"};
+  EXPECT_EXIT(Cli(5, spaced, {"n"}), ::testing::ExitedWithCode(1),
+              "^prog: --gone was removed or never existed\n$");
+  const char* joined[] = {"prog", "--gone=v", "--n=3"};
+  EXPECT_EXIT(Cli(3, joined, {"n"}), ::testing::ExitedWithCode(1),
+              "^prog: --gone was removed or never existed\n$");
+}
+
+TEST(Cli, ReadingAnUndeclaredFlagThrows) {
+  const char* argv[] = {"prog", "--n=1"};
+  Cli cli(2, argv, {"n"});
+  EXPECT_THROW(cli.has("m"), std::logic_error);
+  EXPECT_THROW(cli.get_int("m", 0), std::logic_error);
 }
 
 }  // namespace
