@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "netemu/scope/metrics.hpp"
@@ -39,20 +41,22 @@ void record_batch_volume(std::uint64_t ticks, std::uint64_t messages) {
   sim_messages_counter().add(messages);
 }
 
-// Arbitration policies as key functors: each maps an active-list SLOT to a
-// packed 64-bit priority key (smaller == higher priority), snapshotted when
-// the slot is scattered into its bucket.  Selection is then a branchless
-// integer min — no pointer chasing inside nth_element comparators.
+// Arbitration policies as key functors: each maps an index j -- a message
+// index on unit-capacity machines, an active-list slot on the general path
+// -- to a packed 64-bit priority key (smaller == higher priority), computed
+// when the message joins a channel's heap or bucket.  Selection is then a
+// branchless integer compare — no pointer chasing inside comparators.
 //
-// Slots, not message ids: compaction is stable and the initial slot order
-// is message order, so the slot in the key's low 32 bits doubles as the
-// deterministic message-index tie-break.  All three orders are strict and
-// total, so the winner SET per channel is deterministic (and identical
-// whether selected by nth_element or a linear min-scan), matching the
-// reference comparators "greater remaining, tie smaller index" /
-// "smaller index" / "smaller key, tie smaller index" exactly.
+// The index in the key's low 32 bits is the deterministic message-index
+// tie-break: on the general path compaction is stable and the initial slot
+// order is message order, so slot order is message order.  All three
+// orders are strict and total, so the winner SET per channel is
+// deterministic (and identical whether selected by a heap, nth_element or
+// a linear min-scan), matching the reference comparators "greater
+// remaining, tie smaller index" / "smaller index" / "smaller key, tie
+// smaller index" exactly.
 struct FarthestFirstKey {
-  const std::uint32_t* remaining;  // per-slot hops still to go
+  const std::uint32_t* remaining;  // hops still to go, by index
   std::uint64_t operator()(std::uint32_t j) const {
     // ~remaining: more hops left -> smaller key -> wins.
     return (static_cast<std::uint64_t>(~remaining[j]) << 32) | j;
@@ -64,13 +68,13 @@ struct FifoKey {
 };
 
 struct RandomKey {
-  const std::uint32_t* key;  // per-slot arbitration keys
+  const std::uint32_t* key;  // arbitration keys, by index
   std::uint64_t operator()(std::uint32_t j) const {
     return (static_cast<std::uint64_t>(key[j]) << 32) | j;
   }
 };
 
-constexpr std::uint32_t slot_of(std::uint64_t packed) {
+constexpr std::uint32_t index_of(std::uint64_t packed) {
   return static_cast<std::uint32_t>(packed);
 }
 
@@ -188,6 +192,133 @@ inline void prefetch_rw(const void* a) { __builtin_prefetch(a, 1, 3); }
 #else
 inline void prefetch_rw(const void*) {}
 #endif
+
+// One binary min-heap of packed keys per channel, all in a single arena
+// allocated once per run and never reallocated: 1.5 entries per live message
+// plus 2 per channel.  A channel's first block is its tick-0 occupancy + 2.
+// A full heap moves to a block of twice its capacity at the bump pointer,
+// abandoning the old one.
+// When the bump pointer would pass the end, the arena is compacted in place:
+// blocks are packed forward in offset order, then spread backward so every
+// heap gets size/4 + 1 free entries.  That needs at most 1.25 entries per
+// queued message plus 1 per channel, which always fits, so a push never
+// fails and no buffer is ever copied into a second allocation (a growable
+// arena briefly holds old and new buffers at once, which costs peak RSS).
+class ChannelHeaps {
+ public:
+  ChannelHeaps(const std::vector<std::uint32_t>& occupancy, std::size_t live)
+      : heap_(occupancy.size()),
+        order_(occupancy.size()),
+        arena_size_(live + live / 2 + 2 * occupancy.size()) {
+    if (arena_size_ > UINT32_MAX) {
+      throw std::length_error("PacketSimulator: batch too large");
+    }
+    arena_.reset(new std::uint64_t[arena_size_]);  // untouched until used
+    for (std::size_t c = 0; c < heap_.size(); ++c) {
+      heap_[c] = {static_cast<std::uint32_t>(bump_), 0, occupancy[c] + 2};
+      bump_ += occupancy[c] + 2;
+    }
+  }
+
+  bool empty(std::uint32_t c) const { return heap_[c].size == 0; }
+
+  void prefetch_header(std::uint32_t c) const { prefetch_rw(&heap_[c]); }
+  void prefetch_top(std::uint32_t c) const {
+    prefetch_rw(arena_.get() + heap_[c].off);
+  }
+
+  std::uint64_t pop(std::uint32_t c) {
+    Heap& h = heap_[c];
+    std::uint64_t* a = arena_.get() + h.off;
+    const std::uint64_t top = a[0];
+    const std::uint32_t n = --h.size;
+    if (n > 0) {
+      // Sift the last key down from the root through the hole.  Its old
+      // slot becomes a sentinel no key beats, so picking the smaller child
+      // needs no bounds branch.
+      const std::uint64_t x = a[n];
+      a[n] = ~std::uint64_t{0};
+      std::uint32_t i = 0;
+      for (std::uint32_t child = 1; child < n; child = 2 * i + 1) {
+        child += a[child + 1] < a[child];
+        if (x < a[child]) break;
+        a[i] = a[child];
+        i = child;
+      }
+      a[i] = x;
+    }
+    return top;
+  }
+
+  void push(std::uint32_t c, std::uint64_t key) {
+    if (heap_[c].size == heap_[c].cap) grow(c);
+    Heap& h = heap_[c];
+    std::uint64_t* a = arena_.get() + h.off;
+    std::uint32_t i = h.size++;
+    while (i > 0) {
+      const std::uint32_t parent = (i - 1) / 2;
+      if (a[parent] < key) break;
+      a[i] = a[parent];
+      i = parent;
+    }
+    a[i] = key;
+  }
+
+ private:
+  struct Heap {
+    std::uint32_t off;   // block start in the arena
+    std::uint32_t size;  // keys held
+    std::uint32_t cap;   // block length
+  };
+
+  void grow(std::uint32_t c) {
+    Heap& h = heap_[c];
+    const std::size_t cap = 2 * static_cast<std::size_t>(h.cap);
+    if (bump_ + cap > arena_size_) {
+      compact();  // leaves every heap, this one included, room to push
+      return;
+    }
+    std::copy_n(arena_.get() + h.off, h.size, arena_.get() + bump_);
+    h.off = static_cast<std::uint32_t>(bump_);
+    h.cap = static_cast<std::uint32_t>(cap);
+    bump_ += cap;
+  }
+
+  void compact() {
+    // Blocks in offset order: sort (offset, channel) pairs packed in a u64.
+    for (std::uint32_t c = 0; c < order_.size(); ++c) {
+      order_[c] = static_cast<std::uint64_t>(heap_[c].off) << 32 | c;
+    }
+    std::sort(order_.begin(), order_.end());
+    std::uint64_t* a = arena_.get();
+    // Pack forward: each block moves down, onto blocks already moved.
+    std::size_t end = 0;
+    for (const std::uint64_t entry : order_) {
+      Heap& h = heap_[index_of(entry)];
+      std::memmove(a + end, a + h.off, h.size * sizeof(std::uint64_t));
+      h.off = static_cast<std::uint32_t>(end);
+      end += h.size;
+    }
+    for (const std::uint64_t entry : order_) {
+      end += heap_[index_of(entry)].size / 4 + 1;
+    }
+    // Spread backward: each block moves up, below blocks already moved.
+    bump_ = end;
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+      Heap& h = heap_[index_of(*it)];
+      h.cap = h.size + h.size / 4 + 1;
+      end -= h.cap;
+      std::memmove(a + end, a + h.off, h.size * sizeof(std::uint64_t));
+      h.off = static_cast<std::uint32_t>(end);
+    }
+  }
+
+  std::vector<Heap> heap_;
+  std::vector<std::uint64_t> order_;  // compaction scratch
+  std::size_t arena_size_;
+  std::size_t bump_ = 0;
+  std::unique_ptr<std::uint64_t[]> arena_;
+};
 }  // namespace
 
 template <class PriorityFactory>
@@ -202,6 +333,90 @@ BatchStats PacketSimulator::run_batch_impl(
   stats.static_congestion = batch.static_congestion_;
   stats.total_hops = batch.seq_.size();
   stats.delivered = m;
+  const std::size_t num_ch = channel_cap_.size();
+  std::uint64_t tick = 0;
+  double latency_sum = 0.0;
+
+  if (all_unit_cap_ && machine_.forward_cap.empty()) {
+    // Unit-capacity machines (every channel a single wire -- mesh,
+    // butterfly, tree, ...), event-driven: a channel moves exactly one
+    // message per tick, the one with the minimum key, so each channel keeps
+    // its waiting messages in a min-heap and a tick pops every non-empty
+    // channel -- O(non-empty channels * log queue), not O(live messages).
+    // Keys here are indexed by message, not slot: the low 32 bits hold the
+    // message index, the same strict total order the general path's slot
+    // keys encode (its compaction keeps slot order == message order), so
+    // every channel picks the same winner.  The only per-message state is
+    // rem; a message's current channel is seq[seq_off[i + 1] - rem[i]].
+    std::vector<std::uint32_t> rem(m);  // hops still to go
+    const auto priority_key = make_priority(rem.data(), rand_key_by_msg);
+    std::size_t live = 0;  // undelivered messages
+    std::vector<std::uint32_t> active;  // non-empty channels, any order
+    active.reserve(num_ch);
+    std::vector<std::uint32_t> occupancy(num_ch, 0);  // at tick 0
+    for (std::uint32_t i = 0; i < m; ++i) {
+      rem[i] = seq_off[i + 1] - seq_off[i];
+      if (rem[i] == 0) continue;  // zero-hop: delivered at tick 0
+      if (occupancy[seq[seq_off[i]]]++ == 0) {
+        active.push_back(seq[seq_off[i]]);
+      }
+      ++live;
+    }
+    ChannelHeaps heaps(occupancy, live);
+    for (std::uint32_t i = 0; i < m; ++i) {
+      if (rem[i] > 0) heaps.push(seq[seq_off[i]], priority_key(i));
+    }
+    // This tick's moves: the channel each winner joins and its key there.
+    std::vector<std::uint32_t> move_ch(std::min(num_ch, live));
+    std::vector<std::uint64_t> move_key(move_ch.size());
+
+    while (!active.empty()) {
+      ++tick;
+      // Amortized cancellation poll: one AND + branch per tick, a clock /
+      // flag read every kCancelCheckTicks.  The partial volume is recorded
+      // before unwinding so reclaimed-CPU accounting sees the ticks burned.
+      if ((tick & (kCancelCheckTicks - 1)) == 0 && cancel.cancelled()) {
+        record_batch_volume(tick, static_cast<std::uint64_t>(m - live));
+        throw CancelledError("run_batch cancelled at tick " +
+                             std::to_string(tick));
+      }
+      // Every non-empty channel moves its minimum; a channel left empty
+      // leaves the active list.  A winner's next channel and key are
+      // computed here, but it joins that channel's heap only after every
+      // pop, so no message crosses two channels in one tick.
+      std::size_t nm = 0;
+      std::size_t keep = 0;
+      const std::size_t na = active.size();
+      for (std::size_t k = 0; k < na; ++k) {
+        if (k + 16 < na) heaps.prefetch_header(active[k + 16]);
+        if (k + 8 < na) heaps.prefetch_top(active[k + 8]);
+        const std::uint32_t c = active[k];
+        const std::uint32_t i = index_of(heaps.pop(c));
+        if (!heaps.empty(c)) active[keep++] = c;
+        const std::uint32_t r = --rem[i];
+        if (r == 0) {
+          latency_sum += static_cast<double>(tick);
+          stats.makespan = tick;
+          --live;
+          continue;
+        }
+        move_ch[nm] = seq[seq_off[i + 1] - r];
+        move_key[nm] = priority_key(i);
+        ++nm;
+      }
+      active.resize(keep);
+      for (std::size_t k = 0; k < nm; ++k) {
+        if (k + 16 < nm) heaps.prefetch_header(move_ch[k + 16]);
+        if (k + 8 < nm) heaps.prefetch_top(move_ch[k + 8]);
+        const std::uint32_t c = move_ch[k];
+        if (heaps.empty(c)) active.push_back(c);
+        heaps.push(c, move_key[k]);
+      }
+    }
+    record_batch_volume(tick, m);
+    stats.avg_latency = m == 0 ? 0.0 : latency_sum / static_cast<double>(m);
+    return stats;
+  }
 
   // Active messages as parallel slot arrays (struct-of-arrays): the per-tick
   // passes then read sequentially instead of chasing per-message state
@@ -233,7 +448,6 @@ BatchStats PacketSimulator::run_batch_impl(
   // maintained all-zero between ticks (only touched channels are reset), so
   // a tick costs O(active + touched), never O(channels).
   constexpr std::uint32_t kNoBucket = 0xFFFFFFFFu;
-  const std::size_t num_ch = channel_cap_.size();
   // Per-channel request count (low 32 bits) and bucket offset (high 32
   // bits) share one word, so the per-slot hot passes do a single random
   // access per channel instead of two.
@@ -242,11 +456,9 @@ BatchStats PacketSimulator::run_batch_impl(
   touched.reserve(std::min(num_ch, na) + 1);
   std::vector<std::uint32_t> contended;      // channels with cnt > cap
   std::vector<std::uint32_t> contended_cnt;  // their request counts
-  const bool node_capped_early = !machine_.forward_cap.empty();
-  const bool unit_fast = !node_capped_early && all_unit_cap_;
-  std::vector<std::uint64_t> bucket(unit_fast ? 0 : na);  // grouped packed keys
+  std::vector<std::uint64_t> bucket(na);     // grouped packed keys
 
-  const bool node_capped = node_capped_early;
+  const bool node_capped = !machine_.forward_cap.empty();
   const std::size_t num_nodes = node_capped ? machine_.graph.num_vertices() : 0;
   std::vector<std::uint32_t> node_count(num_nodes, 0);
   std::vector<std::uint32_t> node_base(num_nodes);
@@ -255,8 +467,6 @@ BatchStats PacketSimulator::run_batch_impl(
   std::vector<std::uint64_t> node_bucket(node_capped ? na : 0);
   if (node_capped) touched_nodes.reserve(std::min(num_nodes, na) + 1);
 
-  std::uint64_t tick = 0;
-  double latency_sum = 0.0;
   std::uint32_t delivered_this_tick = 0;
 
   const auto advance = [&](std::uint32_t j) {
@@ -269,75 +479,6 @@ BatchStats PacketSimulator::run_batch_impl(
       act_cur[j] = seq[cursor];
     }
   };
-
-  if (unit_fast) {
-    // Unit-capacity machines (every channel a single wire -- mesh,
-    // butterfly, tree, ...): a requested channel advances exactly one
-    // message, the one with the minimum priority key, so a running min held
-    // directly in count_base replaces counting, bucketing and selection.
-    // And because next tick's keys are final once this tick's advances are
-    // done, the mins for tick T+1 are computed in the same end-of-tick pass
-    // that compacts the slot arrays -- ONE sweep over the slots per tick.
-    // Keys are biased by +1 so 0 keeps meaning "channel not requested" (no
-    // key reaches ~0, see the key functors, so the bias cannot wrap).
-    const auto sweep_min = [&](std::uint32_t j) {
-      const std::uint32_t c = act_cur[j];
-      const std::uint64_t k = priority_key(j) + 1;
-      const std::uint64_t v = count_base[c];
-      if (v == 0) {
-        touched.push_back(c);
-        count_base[c] = k;
-      } else if (k < v) {
-        count_base[c] = k;
-      }
-    };
-    for (std::size_t j = 0; j < na; ++j) {
-      if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-      sweep_min(static_cast<std::uint32_t>(j));
-    }
-    while (!touched.empty()) {
-      ++tick;
-      // Amortized cancellation poll: one AND + branch per tick, a clock /
-      // flag read every kCancelCheckTicks.  The partial volume is recorded
-      // before unwinding so reclaimed-CPU accounting sees the ticks burned.
-      if ((tick & (kCancelCheckTicks - 1)) == 0 && cancel.cancelled()) {
-        record_batch_volume(tick, static_cast<std::uint64_t>(m - na));
-        throw CancelledError("run_batch cancelled at tick " +
-                             std::to_string(tick));
-      }
-      delivered_this_tick = 0;
-      for (const std::uint32_t c : touched) {
-        advance(slot_of(count_base[c] - 1));
-        count_base[c] = 0;  // restore the all-zero invariant
-      }
-      touched.clear();
-      if (delivered_this_tick == 0) {
-        for (std::size_t j = 0; j < na; ++j) {
-          if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-          sweep_min(static_cast<std::uint32_t>(j));
-        }
-      } else {
-        // Compact stably while recomputing the mins: slot order stays
-        // message order (the deterministic tie-break), and keys embed the
-        // POST-compaction slot index -- exactly what selection reads.
-        std::size_t keep = 0;
-        for (std::size_t j = 0; j < na; ++j) {
-          if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-          if (act_rem[j] == 0) continue;
-          act_cursor[keep] = act_cursor[j];
-          act_rem[keep] = act_rem[j];
-          act_cur[keep] = act_cur[j];
-          if (has_key) act_key[keep] = act_key[j];
-          sweep_min(static_cast<std::uint32_t>(keep));
-          ++keep;
-        }
-        na = keep;
-      }
-    }
-    record_batch_volume(tick, m);
-    stats.avg_latency = m == 0 ? 0.0 : latency_sum / static_cast<double>(m);
-    return stats;
-  }
 
   // General machines (multi-wire channels and/or node forwarding caps):
   // count the initial tick's requests; later ticks recount during the
@@ -425,10 +566,10 @@ BatchStats PacketSimulator::run_batch_impl(
           for (std::uint32_t k = 1; k < cnt; ++k) {
             if (req[k] < best) best = req[k];
           }
-          advance(slot_of(best));
+          advance(index_of(best));
         } else {
           std::nth_element(req, req + (cap - 1), req + cnt);
-          for (std::uint32_t k = 0; k < cap; ++k) advance(slot_of(req[k]));
+          for (std::uint32_t k = 0; k < cap; ++k) advance(index_of(req[k]));
         }
       }
     } else {
@@ -460,7 +601,7 @@ BatchStats PacketSimulator::run_batch_impl(
       // advanced until node arbitration completes.
       touched_nodes.clear();
       for (std::uint32_t k = 0; k < nw; ++k) {
-        const Vertex tail = channel_tail_[act_cur[slot_of(winners[k])]];
+        const Vertex tail = channel_tail_[act_cur[index_of(winners[k])]];
         if (node_count[tail]++ == 0) touched_nodes.push_back(tail);
       }
       running = 0;
@@ -470,7 +611,7 @@ BatchStats PacketSimulator::run_batch_impl(
         node_count[v] = 0;
       }
       for (std::uint32_t k = 0; k < nw; ++k) {
-        const Vertex tail = channel_tail_[act_cur[slot_of(winners[k])]];
+        const Vertex tail = channel_tail_[act_cur[index_of(winners[k])]];
         node_bucket[node_base[tail] + node_count[tail]++] = winners[k];
       }
       for (const Vertex v : touched_nodes) {
@@ -482,7 +623,7 @@ BatchStats PacketSimulator::run_batch_impl(
           std::nth_element(req, req + (cap - 1), req + cnt);
           cnt = cap;
         }
-        for (std::uint32_t k = 0; k < cnt; ++k) advance(slot_of(req[k]));
+        for (std::uint32_t k = 0; k < cnt; ++k) advance(index_of(req[k]));
       }
     }
 

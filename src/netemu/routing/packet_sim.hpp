@@ -16,10 +16,14 @@
 //
 // Hot-path design (see docs/PERF.md): paths are flattened ONCE into a
 // PreparedBatch of channel-id sequences (channel_of resolved at flatten
-// time, never per tick), and the tick loop buckets contending messages with
-// a flat counting sort over scratch arrays sized once per run — no per-tick
-// allocation.  PreparedBatch is appendable so a batch-doubling caller reuses
-// the already-flattened prefix instead of re-resolving every path.
+// time, never per tick).  On unit-capacity machines the tick loop is
+// event-driven: each channel keeps its waiting messages in a min-heap of
+// packed priority keys and a tick pops every non-empty channel, so a tick
+// costs O(non-empty channels * log queue), not O(waiting messages).
+// Multi-wire and node-capped machines bucket contending messages with a
+// flat counting sort instead.  Scratch is sized once per run — no per-tick
+// allocation.  PreparedBatch is appendable so a batch-doubling caller
+// reuses the already-flattened prefix instead of re-resolving every path.
 
 #include <atomic>
 #include <cstdint>

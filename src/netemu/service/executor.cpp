@@ -262,6 +262,19 @@ Response QueryExecutor::execute(const Query& q) {
       ++flight->waiters;
       ++stats_.dedup_joins;
     } else {
+      // A flight for this key may have stored its result and retired since
+      // the probe above; it stores before retiring, so this finds it.
+      if (!q.refresh) {
+        if (auto stored = cache_.get_if_hit(key)) {
+          cache_hits_counter().inc();
+          ++stats_.cache_hits;
+          exec_span.set_note("hit after retire");
+          response.ok = true;
+          response.cache_hit = true;
+          response.result = std::move(*stored);
+          return finish(response);
+        }
+      }
       if (draining_) {
         ++stats_.rejected;
         shed_counter().inc();
@@ -396,6 +409,18 @@ Response QueryExecutor::execute(const Query& q) {
           computed.result = std::move(*stale);
         }
       }
+      // Errors are not cached: a transient failure should not poison the
+      // content address forever.  (Stale fallbacks are already in cache.)
+      // Degraded partials are not cached either — they answer the deadline
+      // that produced them, but the content address promises the full sweep.
+      // The result is stored before the flight retires, so a request for
+      // this key always finds one or the other (execute re-probes the cache
+      // under mutex_ when it finds no flight).
+      if (computed.ok && !computed.stale && !computed.degraded) {
+        scope::SpanTimer persist(
+            tid, options_.cache_journal ? "wal.append" : "cache.put");
+        cache_.put(key, computed.result);
+      }
       {
         std::lock_guard lock(mutex_);
         if (unwound || computed.degraded) ++stats_.cancelled;
@@ -415,15 +440,6 @@ Response QueryExecutor::execute(const Query& q) {
         }
         // No-op when the watchdog already abandoned this flight.
         retire_locked(*flight);
-      }
-      // Errors are not cached: a transient failure should not poison the
-      // content address forever.  (Stale fallbacks are already in cache.)
-      // Degraded partials are not cached either — they answer the deadline
-      // that produced them, but the content address promises the full sweep.
-      if (computed.ok && !computed.stale && !computed.degraded) {
-        scope::SpanTimer persist(
-            tid, options_.cache_journal ? "wal.append" : "cache.put");
-        cache_.put(key, computed.result);
       }
       {
         std::lock_guard flight_lock(flight->mutex);

@@ -578,10 +578,26 @@ TEST(FleetScatter, StragglerWinnerCancelsTheStalledTwin) {
   // straggler retry wins at another backend; the race must then fire
   // {"op":"cancel"} at the slow twin so its compute unwinds instead of
   // running to completion (cancel-on-satisfied).
+  //
+  // The twin's attempt must still be running when the retry wins: an
+  // attempt that times out first settles as a loser, and a settled loser is
+  // never cancelled.  So the attempt timeout outlasts the healthy shards'
+  // landing, the straggler deadline and the retry's own compute, and the
+  // slow compute outlasts the attempt timeout.  Both are scaled from one
+  // timed whole-query compute, so this also holds in Debug and sanitizer
+  // builds, where a compute takes seconds.
+  const auto timed_from = std::chrono::steady_clock::now();
+  (void)reference_result(estimate_query(9, 1));
+  const auto compute_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - timed_from)
+                              .count();
+  const auto attempt_timeout_ms = static_cast<std::uint32_t>(
+      std::max<std::int64_t>(5000, 4 * compute_ms));
   QueryExecutor::Options slow_options;
   slow_options.threads = 2;
-  slow_options.compute = [](const Query&, const CancelToken& token) -> Json {
-    for (int i = 0; i < 20000; ++i) {
+  slow_options.compute = [attempt_timeout_ms](const Query&,
+                                              const CancelToken& token) -> Json {
+    for (std::uint32_t i = 0; i < 4 * attempt_timeout_ms; ++i) {
       token.check();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -592,7 +608,10 @@ TEST(FleetScatter, StragglerWinnerCancelsTheStalledTwin) {
   const std::uint16_t p_slow = slow.start();
   const std::uint16_t p_a = healthy_a.start();
   const std::uint16_t p_b = healthy_b.start();
-  FleetRouter fleet(fast_router_options({p_slow, p_a, p_b}));
+  FleetRouter::Options router_options =
+      fast_router_options({p_slow, p_a, p_b});
+  router_options.client.attempt_timeout_ms = attempt_timeout_ms;
+  FleetRouter fleet(router_options);
 
   std::vector<std::size_t> owners;
   const Json q = query_with_distinct_owners(fleet, 9, 3, &owners);
@@ -614,8 +633,8 @@ TEST(FleetScatter, StragglerWinnerCancelsTheStalledTwin) {
   EXPECT_GE(fleet.stats().cancels_fired, 1u);
 
   // The twin's backend really stops: its compute throws CancelledError,
-  // which its executor counts.  (Well inside the client's 5 s attempt
-  // timeout, after which a dropped waiter would cancel the flight anyway.)
+  // which its executor counts.  (Well inside the client's attempt timeout,
+  // after which a dropped waiter would cancel the flight anyway.)
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(3000);
   while (slow.executor.stats().cancelled < 1 &&

@@ -426,6 +426,41 @@ TEST(Executor, SingleFlightDedup) {
             static_cast<std::uint64_t>(kThreads - 1));
 }
 
+TEST(Executor, RequestRacingAFinishingFlightNeverRecomputes) {
+  // A request probes the cache, then looks for a flight under the
+  // executor's lock.  If the flight for its key stores its result and
+  // retires in between, the request must still get that result: the flight
+  // stores before it retires, and a request that finds no flight probes the
+  // cache again under the lock.  A long client name makes execute's copy of
+  // it slow, which holds the follower between its probe and its flight
+  // lookup for longer than the leader's compute takes.
+  auto invocations = std::make_shared<std::atomic<int>>(0);
+  QueryExecutor::Options options;
+  options.threads = 2;
+  options.compute = [invocations](const Query& q, const CancelToken&) {
+    invocations->fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    Json doc = Json::object();
+    doc["n"] = q.n;
+    return doc;
+  };
+  QueryExecutor executor(std::move(options));
+
+  constexpr int kRounds = 20;
+  for (int round = 1; round <= kRounds; ++round) {
+    Query follower_query = estimate_query(64 + round);
+    follower_query.client.assign(std::size_t{8} << 20, 'c');
+    std::thread follower([&executor, &follower_query] {
+      const Response r = executor.execute(follower_query);
+      EXPECT_TRUE(r.ok) << r.error;
+    });
+    EXPECT_TRUE(executor.execute(estimate_query(64 + round)).ok);
+    follower.join();
+  }
+  EXPECT_EQ(invocations->load(), kRounds);
+  EXPECT_EQ(executor.stats().computed, static_cast<std::uint64_t>(kRounds));
+}
+
 TEST(Executor, DistinctQueriesComputeIndependently) {
   auto invocations = std::make_shared<std::atomic<int>>(0);
   QueryExecutor::Options options;
