@@ -8,7 +8,14 @@
 //     honour retry_after_ms backoff hints;
 //   * greedy clients — many connections per identity, zero think time,
 //     ignore every backoff hint;
-//   * a malformed client — interleaves protocol garbage with real queries.
+//   * a malformed client — interleaves protocol garbage with real queries;
+//   * a deadline client — paced like a well-behaved one, but each query is
+//     a 9-trial estimate with a deadline_ms shorter than its compute time,
+//     so the backend answers it with a degraded (partial) result.  The
+//     deadline starts at 3x the query's compute time on the idle backend
+//     and adapts: x0.7 after a full answer, x1.5 after a deadline error (cut
+//     before trial 0 finished), so it settles where the storm's queueing
+//     and the build's speed (Release or sanitizers) yield partials.
 //
 // Every query is an `estimate` with a globally unique seed, so every ok
 // response can be checked for correctness (the result echoes the seed) and
@@ -21,7 +28,7 @@
 //   * zero wrong answers, zero duplicate (cache-contaminated) results;
 //   * degraded honesty: degraded (deadline-bounded partial) responses are
 //     never served from cache — re-requesting a formerly degraded query
-//     yields a fresh full answer;
+//     yields a fresh full answer — and at least one is rechecked;
 //   * the backend survives the malformed client (still answers ping);
 //   * a mid-storm SIGTERM drains CLEANLY: exit status 0, under 5 seconds,
 //     while the storm is still firing.
@@ -31,6 +38,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <iostream>
@@ -55,6 +63,7 @@ namespace {
 
 constexpr double kN = 64;       // estimate graph size (mesh2, 8x8)
 constexpr double kTrials = 8;   // per-query trials
+constexpr double kDeadlineTrials = 9;  // the deadline client's queries
 
 struct ThreadResult {
   std::size_t sent = 0;
@@ -66,7 +75,7 @@ struct ThreadResult {
   std::size_t wrong = 0;      ///< echo mismatch (must stay 0)
   std::size_t duplicate = 0;  ///< unique query answered cache_hit (must be 0)
   std::vector<double> latency_ms;
-  std::vector<double> degraded_seeds;  ///< for the never-cached recheck
+  std::vector<Json> degraded_queries;  ///< for the never-cached recheck
 };
 
 struct SeedResult {
@@ -99,13 +108,14 @@ bool start_backend(ManagedProcess& proc, const std::string& serve_bin,
   return bench::spawn_serve(proc, serve_bin, spawn, port, error);
 }
 
-Json query_for(const std::string& client, double unique_seed) {
+Json query_for(const std::string& client, double unique_seed,
+               double trials = kTrials) {
   Json q = Json::object();
   q["op"] = "estimate";
   q["family"] = "Mesh";
   q["k"] = 2;
   q["n"] = kN;
-  q["trials"] = kTrials;
+  q["trials"] = trials;
   q["seed"] = unique_seed;
   q["client"] = client;
   return q;
@@ -113,10 +123,14 @@ Json query_for(const std::string& client, double unique_seed) {
 
 /// One storm thread: a closed loop on one connection until `stop`.
 /// `seed_base` spaces the unique-seed counters so no two threads (across
-/// phases and seeds) ever collide.
+/// phases and seeds) ever collide.  A nonzero `deadline_ms` makes every
+/// query a kDeadlineTrials estimate bounded by an adapting deadline that
+/// starts there.
 void storm_thread(const ClientProfile& profile, double seed_base,
-                  std::uint16_t port, const std::atomic<bool>& stop,
-                  ThreadResult& out) {
+                  double deadline_ms, std::uint16_t port,
+                  const std::atomic<bool>& stop, ThreadResult& out) {
+  const bool deadline_bound = deadline_ms > 0;
+  const double trials = deadline_bound ? kDeadlineTrials : kTrials;
   Prng prng(profile.seed);
   Client client;
   std::string error;
@@ -136,7 +150,9 @@ void storm_thread(const ClientProfile& profile, double seed_base,
       line = malformed_request_line(prng);
     } else {
       unique_seed = next_seed++;
-      line = query_for(profile.name, unique_seed).dump();
+      Json q = query_for(profile.name, unique_seed, trials);
+      if (deadline_bound) q["deadline_ms"] = std::round(deadline_ms);
+      line = q.dump();
     }
     ++out.sent;
     const auto t0 = Clock::now();
@@ -171,10 +187,14 @@ void storm_thread(const ClientProfile& profile, double seed_base,
         ++out.wrong;
       }
       if (response["cache_hit"].as_bool()) ++out.duplicate;
+      if (deadline_bound && !response["degraded"].as_bool()) {
+        deadline_ms *= 0.7;  // finished in time: cut it shorter
+      }
       if (response["degraded"].as_bool()) {
         ++out.degraded;
-        if (out.degraded_seeds.size() < 16) {
-          out.degraded_seeds.push_back(unique_seed);
+        if (out.degraded_queries.size() < 16) {
+          out.degraded_queries.push_back(
+              query_for("recheck", unique_seed, trials));
         }
       }
     } else if (response.is_object() && response["overloaded"].as_bool()) {
@@ -188,6 +208,7 @@ void storm_thread(const ClientProfile& profile, double seed_base,
       }
     } else {
       ++out.other_error;
+      if (deadline_bound) deadline_ms *= 1.5;  // cut before trial 0 ended
     }
     if (profile.think_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(profile.think_ms));
@@ -196,8 +217,12 @@ void storm_thread(const ClientProfile& profile, double seed_base,
 }
 
 /// Launch the mix (greedy identities get `greedy_threads` connections each)
-/// and run it for `storm_ms`.  `phase` spaces the seed counters.
+/// and then the deadline client, whose deadline starts at `deadline_ms`,
+/// and run them for `storm_ms`.  `phase` spaces the seed counters.  The
+/// deadline client's result comes last.
 std::vector<ThreadResult> run_storm(const std::vector<ClientProfile>& mix,
+                                    const ClientProfile& deadline_client,
+                                    double deadline_ms,
                                     std::size_t greedy_threads,
                                     std::uint16_t port, std::uint64_t storm_ms,
                                     double phase_base,
@@ -209,6 +234,7 @@ std::vector<ThreadResult> run_storm(const std::vector<ClientProfile>& mix,
         p.kind == ClientKind::kGreedy ? greedy_threads : 1;
     for (std::size_t t = 0; t < threads; ++t) slots.push_back(&p);
   }
+  slots.push_back(&deadline_client);
   std::vector<ThreadResult> results(slots.size());
   std::vector<std::thread> threads;
   threads.reserve(slots.size());
@@ -217,8 +243,9 @@ std::vector<ThreadResult> run_storm(const std::vector<ClientProfile>& mix,
     // in a double.
     const double seed_base =
         phase_base + static_cast<double>(s) * 1e7 + 1.0;
-    threads.emplace_back([&, s, seed_base] {
-      storm_thread(*slots[s], seed_base, port, stop, results[s]);
+    const double deadline = slots[s] == &deadline_client ? deadline_ms : 0;
+    threads.emplace_back([&, s, seed_base, deadline] {
+      storm_thread(*slots[s], seed_base, deadline, port, stop, results[s]);
     });
   }
   const auto deadline = std::chrono::steady_clock::now() +
@@ -250,26 +277,58 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t storm_ms,
   spec.malformed = 1;
   spec.think_ms = 2;
   const std::vector<ClientProfile> mix = make_client_mix(spec);
+  // Paced like the first well-behaved client, under its own identity.
+  ClientProfile deadline_client = mix.front();
+  deadline_client.name = "deadline-0";
+  deadline_client.seed = ~deadline_client.seed;
+
+  const double seed_phase = static_cast<double>(seed) * 1e10;
+  // The deadline client's first deadline: 3x one of its queries' compute
+  // time on the idle backend, so it starts long and comes down.  A
+  // deadline too short to finish trial 0 costs more than one too long: the
+  // abandoned query still holds the client's share until a worker drops
+  // it, and the client is shed meanwhile.
+  double deadline_ms = 0.0;
+  {
+    Client probe;
+    std::string error;
+    std::string response_line;
+    const Json q = query_for("probe", seed_phase + 9e9, kDeadlineTrials);
+    if (probe.connect(port, &error) &&
+        probe.request_raw(q.dump(), response_line)) {
+      deadline_ms =
+          3 * Json::parse(response_line)["micros"].as_number() / 1e3;
+    }
+  }
+  if (!(deadline_ms > 0.0)) {
+    out.error = "deadline probe failed";
+    return out;
+  }
 
   // ---- Phase A: the measured storm. --------------------------------------
   std::atomic<bool> stop_a{false};
-  const double seed_phase = static_cast<double>(seed) * 1e10;
-  std::vector<ThreadResult> storm = run_storm(
-      mix, greedy_threads, port, storm_ms, seed_phase, nullptr, stop_a);
+  std::vector<ThreadResult> storm =
+      run_storm(mix, deadline_client, deadline_ms, greedy_threads, port,
+                storm_ms, seed_phase, nullptr, stop_a);
 
   std::vector<double> well_latency;
-  std::vector<double> degraded_seeds;
+  std::vector<Json> degraded_queries;
+  for (const ThreadResult& r : storm) {
+    out.sheds += r.shed;
+    out.degraded += r.degraded;
+    out.wrong += r.wrong;
+    out.duplicates += r.duplicate;
+    out.transport += r.transport;
+    degraded_queries.insert(degraded_queries.end(),
+                            r.degraded_queries.begin(),
+                            r.degraded_queries.end());
+  }
   std::size_t slot = 0;
   for (const auto& p : mix) {
     const std::size_t threads =
         p.kind == ClientKind::kGreedy ? greedy_threads : 1;
     for (std::size_t t = 0; t < threads; ++t, ++slot) {
       const ThreadResult& r = storm[slot];
-      out.sheds += r.shed;
-      out.degraded += r.degraded;
-      out.wrong += r.wrong;
-      out.duplicates += r.duplicate;
-      out.transport += r.transport;
       if (p.kind == ClientKind::kWellBehaved) {
         out.well_ok += r.ok;
         well_latency.insert(well_latency.end(), r.latency_ms.begin(),
@@ -277,8 +336,6 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t storm_ms,
       } else if (p.kind == ClientKind::kGreedy) {
         out.greedy_ok += r.ok;
       }
-      degraded_seeds.insert(degraded_seeds.end(), r.degraded_seeds.begin(),
-                            r.degraded_seeds.end());
     }
   }
   // Fairness: the guard's DRR treats identities equally, so the
@@ -310,10 +367,12 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t storm_ms,
       }
       // Degraded honesty: a degraded partial must not have been cached, so
       // re-requesting it on an idle server yields a fresh FULL answer.
-      const std::size_t recheck = std::min<std::size_t>(degraded_seeds.size(), 5);
+      const std::size_t recheck =
+          std::min<std::size_t>(degraded_queries.size(), 5);
       for (std::size_t i = 0; i < recheck; ++i) {
-        const Json q = query_for("recheck", degraded_seeds[i]);
-        if (!client.request_raw(q.dump(), response_line)) break;
+        if (!client.request_raw(degraded_queries[i].dump(), response_line)) {
+          break;
+        }
         const Json response = Json::parse(response_line);
         if (!response["ok"].as_bool()) continue;  // shed: inconclusive, skip
         ++out.rechecked;
@@ -345,8 +404,8 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t storm_ms,
     out.drain_clean = !backend.running() && backend.exit_status() == 0;
     backend_gone.store(true);
   });
-  run_storm(mix, greedy_threads, port, /*storm_ms=*/6000,
-            seed_phase + 5e9, &backend_gone, stop_c);
+  run_storm(mix, deadline_client, deadline_ms, greedy_threads, port,
+            /*storm_ms=*/6000, seed_phase + 5e9, &backend_gone, stop_c);
   terminator.join();
 
   backend.terminate(2000);
@@ -382,7 +441,7 @@ int main(int argc, char** argv) {
 
   bench::Verdict verdict;
   Table t({"seed", "well ok", "greedy ok", "share", "p99 ms", "shed",
-           "degraded", "wrong", "dup", "drain ms", "secs"});
+           "degraded", "rechecked", "wrong", "dup", "drain ms", "secs"});
   for (std::uint64_t s = 0; s < seeds; ++s) {
     const SeedResult r =
         run_seed(first_seed + s, storm_ms, greedy_threads, serve_bin);
@@ -392,6 +451,7 @@ int main(int argc, char** argv) {
                Table::num(r.well_share, 2), Table::num(r.well_p99_ms, 1),
                Table::integer(std::int64_t(r.sheds)),
                Table::integer(std::int64_t(r.degraded)),
+               Table::integer(std::int64_t(r.rechecked)),
                Table::integer(std::int64_t(r.wrong)),
                Table::integer(std::int64_t(r.duplicates)),
                Table::num(r.drain_ms, 1), Table::num(r.secs, 2)});
@@ -411,6 +471,9 @@ int main(int argc, char** argv) {
                       std::to_string(p99_gate_ms) + " ms)");
     verdict.check(r.wrong == 0, tag + ": zero wrong answers");
     verdict.check(r.duplicates == 0, tag + ": zero duplicate results");
+    verdict.check(r.rechecked >= 1,
+                  tag + ": degraded responses rechecked (" +
+                      std::to_string(r.rechecked) + ")");
     verdict.check(r.recheck_violations == 0,
                   tag + ": degraded responses never served from cache (" +
                       std::to_string(r.rechecked) + " rechecked)");

@@ -1,7 +1,6 @@
 #include "netemu/routing/packet_sim.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -41,18 +40,15 @@ void record_batch_volume(std::uint64_t ticks, std::uint64_t messages) {
   sim_messages_counter().add(messages);
 }
 
-// Arbitration policies as key functors: each maps an index j -- a message
-// index on unit-capacity machines, an active-list slot on the general path
-// -- to a packed 64-bit priority key (smaller == higher priority), computed
-// when the message joins a channel's heap or bucket.  Selection is then a
-// branchless integer compare — no pointer chasing inside comparators.
+// Arbitration policies as key functors: each maps a message index j to a
+// packed 64-bit priority key (smaller == higher priority), computed when the
+// message joins a channel's heap.  Selection is then a branchless integer
+// compare — no pointer chasing inside comparators.
 //
-// The index in the key's low 32 bits is the deterministic message-index
-// tie-break: on the general path compaction is stable and the initial slot
-// order is message order, so slot order is message order.  All three
-// orders are strict and total, so the winner SET per channel is
-// deterministic (and identical whether selected by a heap, nth_element or
-// a linear min-scan), matching the reference comparators "greater
+// The message index in the key's low 32 bits is the deterministic
+// tie-break.  All three orders are strict and total, so the winner SET per
+// channel and per node is deterministic (identical whether selected by a
+// heap or nth_element), matching the reference comparators "greater
 // remaining, tie smaller index" / "smaller index" / "smaller key, tie
 // smaller index" exactly.
 struct FarthestFirstKey {
@@ -126,8 +122,6 @@ PacketSimulator::PacketSimulator(const Machine& machine,
       channel_tail_[c] = static_cast<Vertex>(v);
     }
   }
-  all_unit_cap_ = std::all_of(channel_cap_.begin(), channel_cap_.end(),
-                              [](std::uint32_t cap) { return cap == 1; });
 }
 
 std::uint32_t PacketSimulator::channel_of(Vertex u, Vertex v) const {
@@ -221,6 +215,7 @@ class ChannelHeaps {
   }
 
   bool empty(std::uint32_t c) const { return heap_[c].size == 0; }
+  std::uint32_t size(std::uint32_t c) const { return heap_[c].size; }
 
   void prefetch_header(std::uint32_t c) const { prefetch_rw(&heap_[c]); }
   void prefetch_top(std::uint32_t c) const {
@@ -321,7 +316,7 @@ class ChannelHeaps {
 };
 }  // namespace
 
-template <class PriorityFactory>
+template <bool MultiWire, bool NodeCapped, class PriorityFactory>
 BatchStats PacketSimulator::run_batch_impl(
     const PreparedBatch& batch, const PriorityFactory& make_priority,
     const std::uint32_t* rand_key_by_msg, const CancelToken& cancel) const {
@@ -337,329 +332,158 @@ BatchStats PacketSimulator::run_batch_impl(
   std::uint64_t tick = 0;
   double latency_sum = 0.0;
 
-  if (all_unit_cap_ && machine_.forward_cap.empty()) {
-    // Unit-capacity machines (every channel a single wire -- mesh,
-    // butterfly, tree, ...), event-driven: a channel moves exactly one
-    // message per tick, the one with the minimum key, so each channel keeps
-    // its waiting messages in a min-heap and a tick pops every non-empty
-    // channel -- O(non-empty channels * log queue), not O(live messages).
-    // Keys here are indexed by message, not slot: the low 32 bits hold the
-    // message index, the same strict total order the general path's slot
-    // keys encode (its compaction keeps slot order == message order), so
-    // every channel picks the same winner.  The only per-message state is
-    // rem; a message's current channel is seq[seq_off[i + 1] - rem[i]].
-    std::vector<std::uint32_t> rem(m);  // hops still to go
-    const auto priority_key = make_priority(rem.data(), rand_key_by_msg);
-    std::size_t live = 0;  // undelivered messages
-    std::vector<std::uint32_t> active;  // non-empty channels, any order
-    active.reserve(num_ch);
-    std::vector<std::uint32_t> occupancy(num_ch, 0);  // at tick 0
-    for (std::uint32_t i = 0; i < m; ++i) {
-      rem[i] = seq_off[i + 1] - seq_off[i];
-      if (rem[i] == 0) continue;  // zero-hop: delivered at tick 0
-      if (occupancy[seq[seq_off[i]]]++ == 0) {
-        active.push_back(seq[seq_off[i]]);
-      }
-      ++live;
-    }
-    ChannelHeaps heaps(occupancy, live);
-    for (std::uint32_t i = 0; i < m; ++i) {
-      if (rem[i] > 0) heaps.push(seq[seq_off[i]], priority_key(i));
-    }
-    // This tick's moves: the channel each winner joins and its key there.
-    std::vector<std::uint32_t> move_ch(std::min(num_ch, live));
-    std::vector<std::uint64_t> move_key(move_ch.size());
-
-    while (!active.empty()) {
-      ++tick;
-      // Amortized cancellation poll: one AND + branch per tick, a clock /
-      // flag read every kCancelCheckTicks.  The partial volume is recorded
-      // before unwinding so reclaimed-CPU accounting sees the ticks burned.
-      if ((tick & (kCancelCheckTicks - 1)) == 0 && cancel.cancelled()) {
-        record_batch_volume(tick, static_cast<std::uint64_t>(m - live));
-        throw CancelledError("run_batch cancelled at tick " +
-                             std::to_string(tick));
-      }
-      // Every non-empty channel moves its minimum; a channel left empty
-      // leaves the active list.  A winner's next channel and key are
-      // computed here, but it joins that channel's heap only after every
-      // pop, so no message crosses two channels in one tick.
-      std::size_t nm = 0;
-      std::size_t keep = 0;
-      const std::size_t na = active.size();
-      for (std::size_t k = 0; k < na; ++k) {
-        if (k + 16 < na) heaps.prefetch_header(active[k + 16]);
-        if (k + 8 < na) heaps.prefetch_top(active[k + 8]);
-        const std::uint32_t c = active[k];
-        const std::uint32_t i = index_of(heaps.pop(c));
-        if (!heaps.empty(c)) active[keep++] = c;
-        const std::uint32_t r = --rem[i];
-        if (r == 0) {
-          latency_sum += static_cast<double>(tick);
-          stats.makespan = tick;
-          --live;
-          continue;
-        }
-        move_ch[nm] = seq[seq_off[i + 1] - r];
-        move_key[nm] = priority_key(i);
-        ++nm;
-      }
-      active.resize(keep);
-      for (std::size_t k = 0; k < nm; ++k) {
-        if (k + 16 < nm) heaps.prefetch_header(move_ch[k + 16]);
-        if (k + 8 < nm) heaps.prefetch_top(move_ch[k + 8]);
-        const std::uint32_t c = move_ch[k];
-        if (heaps.empty(c)) active.push_back(c);
-        heaps.push(c, move_key[k]);
-      }
-    }
-    record_batch_volume(tick, m);
-    stats.avg_latency = m == 0 ? 0.0 : latency_sum / static_cast<double>(m);
-    return stats;
-  }
-
-  // Active messages as parallel slot arrays (struct-of-arrays): the per-tick
-  // passes then read sequentially instead of chasing per-message state
-  // through m-sized arrays.  Stable compaction keeps slots sorted by message
-  // id, so slot order doubles as the deterministic tie-break order and the
-  // random keys travel with their slot.
-  const bool has_key = rand_key_by_msg != nullptr;
-  std::size_t na = 0;
-  std::vector<std::uint32_t> act_cursor(m);  // absolute index into seq
-  std::vector<std::uint32_t> act_rem(m);     // hops still to go
-  std::vector<std::uint32_t> act_cur(m);     // seq[act_cursor], cached
-  std::vector<std::uint32_t> act_key(has_key ? m : 0);
+  // Event-driven: a channel of w wires moves the (up to) w messages with the
+  // smallest keys each tick, so each channel keeps its waiting messages in a
+  // min-heap and a tick pops every non-empty channel -- O(non-empty channels
+  // * log queue), not O(live messages).  The only per-message state is rem;
+  // a message's current channel is seq[seq_off[i + 1] - rem[i]].
+  std::vector<std::uint32_t> rem(m);  // hops still to go
+  const auto priority_key = make_priority(rem.data(), rand_key_by_msg);
+  std::size_t live = 0;  // undelivered messages
+  std::vector<std::uint32_t> active;  // non-empty channels, any order
+  active.reserve(num_ch);
+  std::vector<std::uint32_t> occupancy(num_ch, 0);  // at tick 0
   for (std::uint32_t i = 0; i < m; ++i) {
-    const std::uint32_t len = seq_off[i + 1] - seq_off[i];
-    if (len == 0) continue;  // zero-hop: delivered at tick 0 with latency 0
-    act_cursor[na] = seq_off[i];
-    act_rem[na] = len;
-    act_cur[na] = seq[seq_off[i]];
-    if (has_key) act_key[na] = rand_key_by_msg[i];
-    ++na;
+    rem[i] = seq_off[i + 1] - seq_off[i];
+    if (rem[i] == 0) continue;  // zero-hop: delivered at tick 0
+    if (occupancy[seq[seq_off[i]]]++ == 0) {
+      active.push_back(seq[seq_off[i]]);
+    }
+    ++live;
   }
+  ChannelHeaps heaps(occupancy, live);
+  for (std::uint32_t i = 0; i < m; ++i) {
+    if (rem[i] > 0) heaps.push(seq[seq_off[i]], priority_key(i));
+  }
+  std::size_t wires = num_ch;
+  if constexpr (MultiWire) {
+    wires = 0;
+    for (const std::uint32_t cap : channel_cap_) wires += cap;
+  }
+  // At most min(wires, live) messages move per tick.  This tick's moves: the
+  // channel each joins and its key there.
+  std::vector<std::uint32_t> move_ch(std::min(wires, live));
+  std::vector<std::uint64_t> move_key(move_ch.size());
+  std::size_t nm = 0;
 
-  // The key functors read act_rem / act_key, which this loop owns and keeps
-  // current — hence the factory indirection.  The vectors never reallocate,
-  // so the captured pointers stay valid.
-  const auto priority_key = make_priority(act_rem.data(), act_key.data());
-
-  // Flat counting-sort scratch, sized once for the whole run.  count[] is
-  // maintained all-zero between ticks (only touched channels are reset), so
-  // a tick costs O(active + touched), never O(channels).
-  constexpr std::uint32_t kNoBucket = 0xFFFFFFFFu;
-  // Per-channel request count (low 32 bits) and bucket offset (high 32
-  // bits) share one word, so the per-slot hot passes do a single random
-  // access per channel instead of two.
-  std::vector<std::uint64_t> count_base(num_ch, 0);
-  std::vector<std::uint32_t> touched;
-  touched.reserve(std::min(num_ch, na) + 1);
-  std::vector<std::uint32_t> contended;      // channels with cnt > cap
-  std::vector<std::uint32_t> contended_cnt;  // their request counts
-  std::vector<std::uint64_t> bucket(na);     // grouped packed keys
-
-  const bool node_capped = !machine_.forward_cap.empty();
-  const std::size_t num_nodes = node_capped ? machine_.graph.num_vertices() : 0;
+  // Node round scratch (weak machines: a node forwards at most forward_cap
+  // of its channel winners per tick): the winners' keys, then the same keys
+  // grouped by tail node.
+  const std::size_t num_nodes = NodeCapped ? machine_.num_vertices() : 0;
+  std::vector<std::uint64_t> won(NodeCapped ? move_ch.size() : 0);
+  std::vector<std::uint64_t> node_bucket(won.size());
   std::vector<std::uint32_t> node_count(num_nodes, 0);
   std::vector<std::uint32_t> node_base(num_nodes);
   std::vector<Vertex> touched_nodes;
-  std::vector<std::uint64_t> winners(node_capped ? na : 0);
-  std::vector<std::uint64_t> node_bucket(node_capped ? na : 0);
-  if (node_capped) touched_nodes.reserve(std::min(num_nodes, na) + 1);
+  touched_nodes.reserve(std::min(num_nodes, won.size()));
+  std::size_t nw = 0;
+  const auto channel_now = [&](std::uint32_t i) {
+    return seq[seq_off[i + 1] - rem[i]];
+  };
 
-  std::uint32_t delivered_this_tick = 0;
-
-  const auto advance = [&](std::uint32_t j) {
-    const std::uint32_t cursor = ++act_cursor[j];
-    if (--act_rem[j] == 0) {
+  // A winner takes its hop: delivered, or queued to join its next channel
+  // with a key computed now.
+  const auto advance = [&](std::uint32_t i) {
+    const std::uint32_t r = --rem[i];
+    if (r == 0) {
       latency_sum += static_cast<double>(tick);
       stats.makespan = tick;
-      ++delivered_this_tick;
+      --live;
+      return;
+    }
+    move_ch[nm] = seq[seq_off[i + 1] - r];
+    move_key[nm] = priority_key(i);
+    ++nm;
+  };
+  const auto take = [&](std::uint64_t key) {
+    if constexpr (NodeCapped) {
+      won[nw++] = key;
     } else {
-      act_cur[j] = seq[cursor];
+      advance(index_of(key));
     }
   };
 
-  // General machines (multi-wire channels and/or node forwarding caps):
-  // count the initial tick's requests; later ticks recount during the
-  // compaction pass (the request channels for tick T+1 are exactly act_cur
-  // after tick T's advances), saving a full pass per tick.
-  for (std::size_t j = 0; j < na; ++j) {
-    const std::uint32_t c = act_cur[j];
-    if (static_cast<std::uint32_t>(count_base[c]++) == 0) touched.push_back(c);
-  }
-
-  while (na > 0) {
+  while (!active.empty()) {
     ++tick;
+    // Amortized cancellation poll: one AND + branch per tick, a clock /
+    // flag read every kCancelCheckTicks.  The partial volume is recorded
+    // before unwinding so reclaimed-CPU accounting sees the ticks burned.
     if ((tick & (kCancelCheckTicks - 1)) == 0 && cancel.cancelled()) {
-      record_batch_volume(tick, static_cast<std::uint64_t>(m - na));
+      record_batch_volume(tick, static_cast<std::uint64_t>(m - live));
       throw CancelledError("run_batch cancelled at tick " +
                            std::to_string(tick));
     }
-    delivered_this_tick = 0;
-
-    // Bucket offsets.  Without a node cap, only CONTENDED channels
-    // (cnt > cap) need arbitration -- everyone else advances in place during
-    // the scatter pass, skipping bucketing and selection entirely.  That is
-    // the common case for most of a batch's drain.  With a node cap every
-    // channel winner must still face the per-node round, so all go through
-    // buckets.
-    contended.clear();
-    contended_cnt.clear();
-    std::uint32_t running = 0;
-    // The count half is zeroed here; bucketed channels reuse it as an
-    // ascending scatter cursor (re-zeroed after arbitration), so slots on
-    // uncontended channels need no store at all in the scatter pass.
-    if (!node_capped) {
-      for (const std::uint32_t c : touched) {
-        const std::uint32_t cnt = static_cast<std::uint32_t>(count_base[c]);
-        std::uint32_t b = kNoBucket;
-        if (cnt > channel_cap_[c]) {
-          b = running;
-          running += cnt;
-          contended.push_back(c);
-          contended_cnt.push_back(cnt);
+    // Every non-empty channel pops its minimum keys, one per wire; a
+    // channel left empty leaves the active list.  Moves join their next
+    // heap only after every pop, so no message crosses two channels in one
+    // tick.
+    nm = 0;
+    std::size_t keep = 0;
+    const std::size_t na = active.size();
+    for (std::size_t k = 0; k < na; ++k) {
+      if (k + 16 < na) heaps.prefetch_header(active[k + 16]);
+      if (k + 8 < na) heaps.prefetch_top(active[k + 8]);
+      const std::uint32_t c = active[k];
+      if constexpr (MultiWire) {  // all but the last of this channel's pops
+        for (std::uint32_t w = std::min(channel_cap_[c], heaps.size(c)); w > 1;
+             --w) {
+          take(heaps.pop(c));
         }
-        count_base[c] = static_cast<std::uint64_t>(b) << 32;
       }
-    } else {
-      for (const std::uint32_t c : touched) {
-        const std::uint32_t cnt = static_cast<std::uint32_t>(count_base[c]);
-        count_base[c] = static_cast<std::uint64_t>(running) << 32;
-        running += cnt;
-        contended.push_back(c);
-        contended_cnt.push_back(cnt);
-      }
+      const std::uint64_t key = heaps.pop(c);
+      if (!heaps.empty(c)) active[keep++] = c;
+      take(key);
     }
-    // Scatter pass: advance uncontended slots in place; snapshot the rest
-    // as packed priority keys in their channel's bucket slice, cursored by
-    // the count half.
-    for (std::size_t j = 0; j < na; ++j) {
-      if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-      const std::uint32_t c = act_cur[j];
-      const std::uint64_t v = count_base[c];
-      const std::uint32_t b = static_cast<std::uint32_t>(v >> 32);
-      if (b == kNoBucket) {
-        advance(static_cast<std::uint32_t>(j));  // read-only: no store
-      } else {
-        bucket[b + static_cast<std::uint32_t>(v)] =
-            priority_key(static_cast<std::uint32_t>(j));
-        count_base[c] = v + 1;  // cursor in the count half
-      }
-    }
+    active.resize(keep);
 
-    // Arbitrate each bucketed channel in place on its slice.  Keys were
-    // snapshotted before any advance of a bucketed slot (a slot sits in at
-    // most one bucket), so selection over them matches the reference
-    // live-comparator order exactly.
-    if (!node_capped) {
-      for (std::size_t t = 0; t < contended.size(); ++t) {
-        std::uint64_t* req =
-            bucket.data() + (count_base[contended[t]] >> 32);
-        count_base[contended[t]] = 0;  // restore the all-zero invariant
-        const std::uint32_t cnt = contended_cnt[t];
-        const std::uint32_t cap = channel_cap_[contended[t]];
-        if (cap == 1) {
-          // Unit multiplicity dominates: a linear min-scan picks the same
-          // unique winner as nth_element without its overhead.
-          std::uint64_t best = req[0];
-          for (std::uint32_t k = 1; k < cnt; ++k) {
-            if (req[k] < best) best = req[k];
-          }
-          advance(index_of(best));
-        } else {
-          std::nth_element(req, req + (cap - 1), req + cnt);
-          for (std::uint32_t k = 0; k < cap; ++k) advance(index_of(req[k]));
-        }
-      }
-    } else {
-      // Channel winners feed a second counting-sort round over tail nodes
-      // (weak machines: a node forwards at most forward_cap messages/tick).
-      std::uint32_t nw = 0;
-      for (std::size_t t = 0; t < contended.size(); ++t) {
-        std::uint64_t* req =
-            bucket.data() + (count_base[contended[t]] >> 32);
-        count_base[contended[t]] = 0;  // restore the all-zero invariant
-        std::uint32_t cnt = contended_cnt[t];
-        const std::uint32_t cap = channel_cap_[contended[t]];
-        if (cnt > cap) {
-          if (cap == 1) {
-            std::uint64_t best = req[0];
-            for (std::uint32_t k = 1; k < cnt; ++k) {
-              if (req[k] < best) best = req[k];
-            }
-            req[0] = best;
-          } else {
-            std::nth_element(req, req + (cap - 1), req + cnt);
-          }
-          cnt = cap;
-        }
-        for (std::uint32_t k = 0; k < cnt; ++k) winners[nw++] = req[k];
-      }
-
-      // Keys stay valid through the node round: channel winners are not
-      // advanced until node arbitration completes.
+    if constexpr (NodeCapped) {
+      // The channel winners face a round per tail node: counting sort by
+      // tail, keep the forward_cap smallest keys.  Node winners advance;
+      // node losers rejoin their own channel's heap with their key
+      // unchanged (their rem did not move), in the same push pass.
       touched_nodes.clear();
-      for (std::uint32_t k = 0; k < nw; ++k) {
-        const Vertex tail = channel_tail_[act_cur[index_of(winners[k])]];
+      for (std::size_t k = 0; k < nw; ++k) {
+        const Vertex tail = channel_tail_[channel_now(index_of(won[k]))];
         if (node_count[tail]++ == 0) touched_nodes.push_back(tail);
       }
-      running = 0;
+      std::uint32_t running = 0;
       for (const Vertex v : touched_nodes) {
         node_base[v] = running;
         running += node_count[v];
         node_count[v] = 0;
       }
-      for (std::uint32_t k = 0; k < nw; ++k) {
-        const Vertex tail = channel_tail_[act_cur[index_of(winners[k])]];
-        node_bucket[node_base[tail] + node_count[tail]++] = winners[k];
+      for (std::size_t k = 0; k < nw; ++k) {
+        const Vertex tail = channel_tail_[channel_now(index_of(won[k]))];
+        node_bucket[node_base[tail] + node_count[tail]++] = won[k];
       }
+      nw = 0;
       for (const Vertex v : touched_nodes) {
         std::uint64_t* req = node_bucket.data() + node_base[v];
-        std::uint32_t cnt = node_count[v];
+        const std::uint32_t cnt = node_count[v];
         node_count[v] = 0;
+        std::uint32_t pass = cnt;
         const std::uint32_t cap = machine_.forward_cap[v];
         if (cap != kUnlimitedForward && cnt > cap) {
           std::nth_element(req, req + (cap - 1), req + cnt);
-          cnt = cap;
+          pass = cap;
         }
-        for (std::uint32_t k = 0; k < cnt; ++k) advance(index_of(req[k]));
+        for (std::uint32_t k = pass; k < cnt; ++k) {
+          move_ch[nm] = channel_now(index_of(req[k]));
+          move_key[nm] = req[k];
+          ++nm;
+        }
+        for (std::uint32_t k = 0; k < pass; ++k) advance(index_of(req[k]));
       }
     }
 
-    // Compaction + recount, fused: one pass rebuilds next tick's request
-    // counts while (only when something delivered) compacting the slot
-    // arrays stably in place.  Stability keeps slot order == message order,
-    // which the packed keys use as the deterministic tie-break.
-    touched.clear();
-    if (delivered_this_tick > 0) {
-      std::size_t keep = 0;
-      for (std::size_t j = 0; j < na; ++j) {
-        if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-        if (act_rem[j] > 0) {
-          const std::uint32_t c = act_cur[j];
-          act_cursor[keep] = act_cursor[j];
-          act_rem[keep] = act_rem[j];
-          act_cur[keep] = c;
-          if (has_key) act_key[keep] = act_key[j];
-          ++keep;
-          if (static_cast<std::uint32_t>(count_base[c]++) == 0) {
-            touched.push_back(c);
-          }
-        }
-      }
-      na = keep;
-    } else {
-      for (std::size_t j = 0; j < na; ++j) {
-        if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-        const std::uint32_t c = act_cur[j];
-        if (static_cast<std::uint32_t>(count_base[c]++) == 0) {
-          touched.push_back(c);
-        }
-      }
+    for (std::size_t k = 0; k < nm; ++k) {
+      if (k + 16 < nm) heaps.prefetch_header(move_ch[k + 16]);
+      if (k + 8 < nm) heaps.prefetch_top(move_ch[k + 8]);
+      const std::uint32_t c = move_ch[k];
+      if (heaps.empty(c)) active.push_back(c);
+      heaps.push(c, move_key[k]);
     }
   }
-
   record_batch_volume(tick, m);
   stats.avg_latency = m == 0 ? 0.0 : latency_sum / static_cast<double>(m);
   return stats;
@@ -667,33 +491,46 @@ BatchStats PacketSimulator::run_batch_impl(
 
 BatchStats PacketSimulator::run_batch(const PreparedBatch& batch, Prng& rng,
                                       const CancelToken& cancel) const {
+  // Multi-wire pops and the node round are compiled in only where the
+  // machine has them, so a unit-capacity machine's channel loop holds no
+  // code for them (a run-time check there pushed the loop's counters onto
+  // the stack; docs/PERF.md).
+  const bool multi_wire =
+      std::any_of(channel_cap_.begin(), channel_cap_.end(),
+                  [](std::uint32_t wires) { return wires > 1; });
+  const bool node_capped = !machine_.forward_cap.empty();
+  const auto run = [&](const auto& make_priority, const std::uint32_t* key) {
+    if (multi_wire) {
+      return node_capped
+                 ? run_batch_impl<true, true>(batch, make_priority, key, cancel)
+                 : run_batch_impl<true, false>(batch, make_priority, key,
+                                               cancel);
+    }
+    return node_capped
+               ? run_batch_impl<false, true>(batch, make_priority, key, cancel)
+               : run_batch_impl<false, false>(batch, make_priority, key,
+                                              cancel);
+  };
   switch (arbitration_) {
     case Arbitration::kFifo:
-      return run_batch_impl(
-          batch,
-          [](const std::uint32_t*, const std::uint32_t*) { return FifoKey{}; },
-          nullptr, cancel);
+      return run([](const std::uint32_t*, const std::uint32_t*) {
+        return FifoKey{};
+      }, nullptr);
     case Arbitration::kRandom: {
       // Keys are drawn per message in index order (zero-hop messages
       // included), matching the documented serial order.
       std::vector<std::uint32_t> rand_key(batch.size());
       for (auto& k : rand_key) k = static_cast<std::uint32_t>(rng());
-      return run_batch_impl(
-          batch,
-          [](const std::uint32_t*, const std::uint32_t* key) {
-            return RandomKey{key};
-          },
-          rand_key.data(), cancel);
+      return run([](const std::uint32_t*, const std::uint32_t* key) {
+        return RandomKey{key};
+      }, rand_key.data());
     }
     case Arbitration::kFarthestFirst:
       break;
   }
-  return run_batch_impl(
-      batch,
-      [](const std::uint32_t* remaining, const std::uint32_t*) {
-        return FarthestFirstKey{remaining};
-      },
-      nullptr, cancel);
+  return run([](const std::uint32_t* remaining, const std::uint32_t*) {
+    return FarthestFirstKey{remaining};
+  }, nullptr);
 }
 
 BatchStats PacketSimulator::run_batch(

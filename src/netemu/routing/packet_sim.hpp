@@ -16,14 +16,15 @@
 //
 // Hot-path design (see docs/PERF.md): paths are flattened ONCE into a
 // PreparedBatch of channel-id sequences (channel_of resolved at flatten
-// time, never per tick).  On unit-capacity machines the tick loop is
-// event-driven: each channel keeps its waiting messages in a min-heap of
-// packed priority keys and a tick pops every non-empty channel, so a tick
-// costs O(non-empty channels * log queue), not O(waiting messages).
-// Multi-wire and node-capped machines bucket contending messages with a
-// flat counting sort instead.  Scratch is sized once per run — no per-tick
-// allocation.  PreparedBatch is appendable so a batch-doubling caller
-// reuses the already-flattened prefix instead of re-resolving every path.
+// time, never per tick).  The tick loop is event-driven: each channel keeps
+// its waiting messages in a min-heap of packed priority keys and a tick pops
+// every non-empty channel, one key per wire, so a tick costs O(non-empty
+// channels * log queue), not O(waiting messages).  On a node-capped machine
+// the channel winners then face a per-node round, and the node losers go
+// back into their channel's heap.  Scratch is sized once per run — no
+// per-tick allocation.  PreparedBatch is appendable so a batch-doubling
+// caller reuses the already-flattened prefix instead of re-resolving every
+// path.
 
 #include <atomic>
 #include <cstdint>
@@ -144,7 +145,7 @@ class PacketSimulator {
  private:
   std::uint32_t channel_of(Vertex u, Vertex v) const;
 
-  template <class PriorityFactory>
+  template <bool MultiWire, bool NodeCapped, class PriorityFactory>
   BatchStats run_batch_impl(const PreparedBatch& batch,
                             const PriorityFactory& make_priority,
                             const std::uint32_t* rand_key_by_msg,
@@ -158,7 +159,6 @@ class PacketSimulator {
   std::vector<Vertex> arc_to_;                 // channel -> head vertex
   std::vector<std::uint32_t> channel_cap_;     // channel -> wires
   std::vector<Vertex> channel_tail_;           // channel -> tail vertex
-  bool all_unit_cap_ = false;                  // every channel a single wire
 };
 
 }  // namespace netemu

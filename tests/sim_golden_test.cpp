@@ -1,11 +1,11 @@
-// Golden-value regression tests for the counting-sort packet simulator.
+// Golden-value regression tests for the packet simulator.
 //
-// The flat-bucket rewrite of PacketSimulator::run_batch is required to be
+// Every rewrite of PacketSimulator::run_batch is required to be
 // bit-identical to the original per-tick-allocation implementation: same
 // paths + same seed must give the same BatchStats.  The values below were
-// captured from the pre-rewrite simulator (mesh 8x8, 3-dim butterfly,
-// 5-level tree; all three arbitration policies; with and without a
-// per-node forward cap) and pin that contract down.
+// captured from that first simulator (mesh 8x8, 3-dim butterfly, 5-level
+// tree; all three arbitration policies; with and without a per-node
+// forward cap) and pin that contract down.
 //
 // Also covered here: prepare()-vs-append() equivalence (the route-reuse
 // path of batch doubling), thread-count invariance of the parallel trial

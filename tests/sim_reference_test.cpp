@@ -1,16 +1,19 @@
 // Differential tests: PacketSimulator::run_batch against the naive reference
 // simulator in reference_sim.hpp, bit for bit, on seeded random inputs.
 //
-// The shapes cover both tick loops.  Random multigraphs with multi-wire
-// edges and node caps take the general path.  Unit-capacity graphs take the
-// event-driven one; among them, stars with hot leaves and complete binary
-// trees with leaf-to-leaf traffic build deep queues (at the hub and the
-// apex), so per-channel heaps outgrow their first blocks and the heap arena
-// compacts.  A long line runs past several cancellation polls with a token
-// that never fires.  Every case runs under all three arbitrations, with
-// zero-hop messages mixed in, and checks that both simulators drew the same
-// rng values.  A fixed seed list runs under tier1 (and so under the
-// sanitizer job); SimReferenceSoak sweeps many more seeds.
+// The shapes cover every part of the one tick loop: single-wire pops,
+// multi-wire pops, the per-node round and the re-push of node losers.
+// Random multigraphs mix unit and multi-wire edges, with node caps on some
+// seeds.  Stars with hot leaves and complete binary trees with leaf-to-leaf
+// traffic build deep queues (at the hub and the apex), so per-channel heaps
+// outgrow their first blocks and the heap arena compacts; each draws unit
+// wires or multiplicities 1..3, and node caps on some seeds, so deep queues
+// also meet multi-wire pops and capped nodes.  A long line runs past several
+// cancellation polls with a token that never fires.  Every case runs under
+// all three arbitrations, with zero-hop messages mixed in, and checks that
+// both simulators drew the same rng values.  A fixed seed list runs under
+// tier1 (and so under the sanitizer job); SimReferenceSoak sweeps many more
+// seeds.
 
 #include <gtest/gtest.h>
 
@@ -49,6 +52,11 @@ Machine machine_of(std::size_t n, const std::vector<WeightedEdge>& edges) {
   return machine;
 }
 
+/// Wires for one edge: 1 when `unit`, else drawn from 1..3.
+std::uint32_t wires(bool unit, Prng& rng) {
+  return unit ? 1 : 1 + static_cast<std::uint32_t>(rng.below(3));
+}
+
 /// Node caps drawn per node from {1, 2, unlimited}.
 void cap_nodes(Machine& machine, Prng& rng) {
   const std::uint32_t caps[] = {1, 2, kUnlimitedForward};
@@ -77,8 +85,7 @@ Case random_graph(Prng& rng, bool unit) {
     if (u == v || !seen.insert({std::min(u, v), std::max(u, v)}).second) {
       return;
     }
-    edges.push_back({u, v, unit ? 1u : 1 + static_cast<std::uint32_t>(
-                                               rng.below(3))});
+    edges.push_back({u, v, wires(unit, rng)});
   };
   for (Vertex v = 1; v < n; ++v) add(static_cast<Vertex>(rng.below(v)), v);
   for (std::size_t e = rng.below(2 * n); e > 0; --e) {
@@ -98,12 +105,17 @@ Case random_graph(Prng& rng, bool unit) {
   return c;
 }
 
-/// Hub 0 and unit-wire leaves; most messages go to a few hot leaves, so the
-/// hub-to-hot-leaf queues grow to hundreds.
+/// Hub 0 and its leaves; most messages go to a few hot leaves, so the
+/// hub-to-hot-leaf queues grow to hundreds.  Unit wires on half the seeds,
+/// multiplicities 1..3 on the rest; node caps on a third (a capped hub
+/// deepens every queue).
 Case star(Prng& rng) {
   const std::size_t leaves = 3 + rng.below(30);
+  const bool unit = rng.below(2) == 0;
   std::vector<WeightedEdge> edges;
-  for (Vertex v = 1; v <= leaves; ++v) edges.push_back({0, v, 1});
+  for (Vertex v = 1; v <= leaves; ++v) {
+    edges.push_back({0, v, wires(unit, rng)});
+  }
   Case c{"star", machine_of(leaves + 1, edges), {}};
   const std::size_t hot = 1 + rng.below(3);
   const std::size_t m = 50 + rng.below(600);
@@ -119,16 +131,20 @@ Case star(Prng& rng) {
       c.paths.push_back({src, 0, dst});
     }
   }
+  if (rng.below(3) == 0) cap_nodes(c.machine, rng);
   return c;
 }
 
 /// A complete binary tree (heap numbering) with leaf-to-leaf messages, which
-/// pile up at the apex.
+/// pile up at the apex.  Wires and node caps as for star.
 Case binary_tree(Prng& rng) {
   const std::size_t depth = 2 + rng.below(4);
   const std::size_t n = (std::size_t{2} << depth) - 1;
+  const bool unit = rng.below(2) == 0;
   std::vector<WeightedEdge> edges;
-  for (Vertex v = 1; v < n; ++v) edges.push_back({(v - 1) / 2, v, 1});
+  for (Vertex v = 1; v < n; ++v) {
+    edges.push_back({(v - 1) / 2, v, wires(unit, rng)});
+  }
   Case c{"binary-tree", machine_of(n, edges), {}};
   const std::size_t first_leaf = n / 2;
   const std::size_t m = 100 + rng.below(800);
@@ -146,6 +162,7 @@ Case binary_tree(Prng& rng) {
     up.insert(up.end(), down.rbegin(), down.rend());
     c.paths.push_back(up);
   }
+  if (rng.below(3) == 0) cap_nodes(c.machine, rng);
   return c;
 }
 
