@@ -8,7 +8,8 @@
 // Invariants checked per seed (exit nonzero on any failure):
 //   * no lost, duplicated, or cross-wired responses: every request's result
 //     must echo the unique size it asked about;
-//   * no deadlocks: the soak finishes (the watchdog reaps hung flights);
+//   * no deadlocks: the soak finishes (every flight either completes or is
+//     abandoned at its last waiter's deadline);
 //   * no cache corruption: after the daemon (and its possibly torn final
 //     save) shuts down, a fresh ResultCache loads the file without crashing
 //     and every recovered entry is intact JSON.
@@ -66,7 +67,6 @@ SeedResult run_seed(const FaultPlan& plan, std::size_t clients,
     QueryExecutor::Options exec_options;
     exec_options.threads = 4;
     exec_options.guard.cost_budget = 64;
-    exec_options.hang_timeout_ms = 2000;
     exec_options.cache_file = cache_path;
     exec_options.faults = &injector;
     QueryExecutor executor(std::move(exec_options));

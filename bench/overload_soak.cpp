@@ -15,7 +15,10 @@
 //     deadline starts at 3x the query's compute time on the idle backend
 //     and adapts: x0.7 after a full answer, x1.5 after a deadline error (cut
 //     before trial 0 finished), so it settles where the storm's queueing
-//     and the build's speed (Release or sanitizers) yield partials.
+//     and the build's speed (Release or sanitizers) yield partials.  Its
+//     longest run of consecutive sheds is printed per seed ("dl shed run"):
+//     an abandoned query returns its charge at its deadline, so a run of
+//     deadline errors must not turn into a run of sheds.
 //
 // Every query is an `estimate` with a globally unique seed, so every ok
 // response can be checked for correctness (the result echoes the seed) and
@@ -74,6 +77,7 @@ struct ThreadResult {
   std::size_t transport = 0;
   std::size_t wrong = 0;      ///< echo mismatch (must stay 0)
   std::size_t duplicate = 0;  ///< unique query answered cache_hit (must be 0)
+  std::size_t longest_shed_run = 0;  ///< most consecutive sheds
   std::vector<double> latency_ms;
   std::vector<Json> degraded_queries;  ///< for the never-cached recheck
 };
@@ -83,6 +87,7 @@ struct SeedResult {
   std::size_t well_ok = 0, greedy_ok = 0;
   std::size_t sheds = 0, degraded = 0, wrong = 0, duplicates = 0;
   std::size_t transport = 0;
+  std::size_t deadline_shed_run = 0;  ///< deadline client's longest run
   double well_share = 0.0;     ///< well_ok / fair expectation
   double well_p99_ms = 0.0;
   std::size_t rechecked = 0;   ///< formerly degraded queries re-requested
@@ -140,6 +145,7 @@ void storm_thread(const ClientProfile& profile, double seed_base,
   }
   std::string response_line;
   double next_seed = seed_base;
+  std::size_t shed_run = 0;  // consecutive sheds since the last other answer
   using Clock = std::chrono::steady_clock;
   while (!stop.load(std::memory_order_relaxed)) {
     std::string line;
@@ -178,6 +184,11 @@ void storm_thread(const ClientProfile& profile, double seed_base,
       }
       continue;
     }
+    const bool shed =
+        response.is_object() && !response["ok"].as_bool() &&
+        response["overloaded"].as_bool();
+    shed_run = shed ? shed_run + 1 : 0;
+    out.longest_shed_run = std::max(out.longest_shed_run, shed_run);
     if (response.is_object() && response["ok"].as_bool()) {
       ++out.ok;
       out.latency_ms.push_back(ms);
@@ -197,7 +208,7 @@ void storm_thread(const ClientProfile& profile, double seed_base,
               query_for("recheck", unique_seed, trials));
         }
       }
-    } else if (response.is_object() && response["overloaded"].as_bool()) {
+    } else if (shed) {
       ++out.shed;
       if (profile.honor_retry_after) {
         const auto hint = response["retry_after_ms"].as_uint();
@@ -285,9 +296,8 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t storm_ms,
   const double seed_phase = static_cast<double>(seed) * 1e10;
   // The deadline client's first deadline: 3x one of its queries' compute
   // time on the idle backend, so it starts long and comes down.  A
-  // deadline too short to finish trial 0 costs more than one too long: the
-  // abandoned query still holds the client's share until a worker drops
-  // it, and the client is shed meanwhile.
+  // deadline too short to finish trial 0 costs more than one too long: it
+  // answers nothing at all.
   double deadline_ms = 0.0;
   {
     Client probe;
@@ -311,6 +321,7 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t storm_ms,
       run_storm(mix, deadline_client, deadline_ms, greedy_threads, port,
                 storm_ms, seed_phase, nullptr, stop_a);
 
+  out.deadline_shed_run = storm.back().longest_shed_run;
   std::vector<double> well_latency;
   std::vector<Json> degraded_queries;
   for (const ThreadResult& r : storm) {
@@ -441,7 +452,8 @@ int main(int argc, char** argv) {
 
   bench::Verdict verdict;
   Table t({"seed", "well ok", "greedy ok", "share", "p99 ms", "shed",
-           "degraded", "rechecked", "wrong", "dup", "drain ms", "secs"});
+           "degraded", "dl shed run", "rechecked", "wrong", "dup",
+           "drain ms", "secs"});
   for (std::uint64_t s = 0; s < seeds; ++s) {
     const SeedResult r =
         run_seed(first_seed + s, storm_ms, greedy_threads, serve_bin);
@@ -451,6 +463,7 @@ int main(int argc, char** argv) {
                Table::num(r.well_share, 2), Table::num(r.well_p99_ms, 1),
                Table::integer(std::int64_t(r.sheds)),
                Table::integer(std::int64_t(r.degraded)),
+               Table::integer(std::int64_t(r.deadline_shed_run)),
                Table::integer(std::int64_t(r.rechecked)),
                Table::integer(std::int64_t(r.wrong)),
                Table::integer(std::int64_t(r.duplicates)),

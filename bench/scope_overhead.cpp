@@ -9,12 +9,12 @@
 //
 //   run_batch   — the micro_sim workload: repeated packet-simulation
 //                 batches on a fixed mesh (counter adds per *batch*);
-//   cache_hit   — the service_throughput hot phase: an in-process Server
-//                 on an ephemeral port, one client connection replaying a
+//   cache_hit   — the daemon's hot path: an in-process Server on an
+//                 ephemeral port, one client connection replaying a
 //                 fully-cached query through the real localhost socket
 //                 (JSON parse -> query build -> executor cache hit ->
-//                 response serialize per request, exactly the stack the
-//                 hot phase's req/s measures).
+//                 response serialize per request, the stack perfbench's
+//                 request_hot workload measures).
 //
 // A third A/B gates cooperative cancellation the same way (docs/
 // LIFECYCLE.md): run_batch with a null CancelToken (one pointer compare at
@@ -126,7 +126,7 @@ struct SimWorkload {
 };
 
 // ---------------------------------------------------------------------------
-// Workload 2: executor cache hits (service_throughput's steady state).
+// Workload 2: executor cache hits (request_hot's steady state).
 // ---------------------------------------------------------------------------
 
 struct ExecWorkload {
@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
                    Table::num(pct, 2) + "%", ok ? "PASS" : "FAIL"});
   };
   row("run_batch (micro_sim)", sim_r);
-  row("cache_hit (service_throughput)", exec_r);
+  row("cache_hit (request path)", exec_r);
   row("run_batch cancel token", cancel_r);
   row("refresh overload guard", guard_r);
   table.print(std::cout);

@@ -69,9 +69,9 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv,
                 {"attempt-timeout-ms", "attempts", "backends", "cooldown-ms",
                  "drain-ms", "failure-threshold", "hedge", "hedge-ms",
-                 "hedge-percentile", "io-threads", "offload-threads", "port",
-                 "pressure-sink", "probe-ms", "scatter-min-trials",
-                 "scatter-ways", "trace-all"});
+                 "hedge-percentile", "io-threads", "port", "pressure-sink",
+                 "probe-ms", "scatter-min-trials", "scatter-ways",
+                 "trace-all"});
 
   const std::string backends_spec = cli.get("backends");
   if (backends_spec.empty()) {
@@ -124,8 +124,6 @@ int main(int argc, char** argv) {
   server_options.port = static_cast<std::uint16_t>(cli.get_int("port", 7470));
   server_options.io_threads =
       static_cast<std::size_t>(cli.get_int("io-threads", 0));
-  server_options.offload_threads =
-      static_cast<std::size_t>(cli.get_int("offload-threads", 0));
   // No fast_handler: every line proxies to a backend (blocking network
   // I/O), so everything rides the offload pool.
   std::atomic<bool> drain_op{false};

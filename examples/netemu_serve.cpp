@@ -80,12 +80,12 @@ void drain_and_stop(Server& server, QueryExecutor& executor,
 int main(int argc, char** argv) {
   const Cli cli(argc, argv,
                 {"cache-capacity", "cache-file", "deadline-ms", "drain-ms",
-                 "fault-plan", "guard-share", "hang-timeout-ms", "io-threads",
-                 "no-journal", "no-persist", "offload-threads", "port",
-                 "queue", "retry-after-ms", "threads"});
+                 "fault-plan", "guard-share", "io-threads", "no-journal",
+                 "no-persist", "port", "queue", "retry-after-ms", "threads"});
 
-  // A fatal signal dumps the scope flight recorder (recent sheds, watchdog
-  // fires, injected faults — with trace ids) to stderr before re-raising.
+  // A fatal signal dumps the scope flight recorder (recent sheds, breaker
+  // transitions, injected faults — with trace ids) to stderr before
+  // re-raising.
   scope::install_crash_handler();
 
   QueryExecutor::Options exec_options;
@@ -98,8 +98,6 @@ int main(int argc, char** argv) {
       cli.has("no-persist") ? "" : cli.get("cache-file", "netemu_cache.json");
   exec_options.cache_journal =
       !exec_options.cache_file.empty() && !cli.has("no-journal");
-  exec_options.hang_timeout_ms =
-      static_cast<std::uint64_t>(cli.get_int("hang-timeout-ms", 60000));
   exec_options.retry_after_hint_ms =
       static_cast<std::uint64_t>(cli.get_int("retry-after-ms", 50));
 
@@ -151,8 +149,6 @@ int main(int argc, char** argv) {
   server_options.faults = injector.get();
   server_options.io_threads =
       static_cast<std::size_t>(cli.get_int("io-threads", 0));
-  server_options.offload_threads =
-      static_cast<std::size_t>(cli.get_int("offload-threads", 0));
   // Custom handler rather than the QueryExecutor convenience constructor so
   // a client {"op":"drain"} reaches the drain sequence below.  That skips
   // the constructor's automatic fast path, so install it explicitly: ping
@@ -212,7 +208,7 @@ int main(int argc, char** argv) {
   std::cerr << "served " << s.requests << " requests (" << s.cache_hits
             << " cache hits, " << s.computed << " computed, "
             << s.dedup_joins << " dedup joins, " << s.rejected
-            << " rejected, " << s.hung << " hung, " << s.stale_served
+            << " rejected, " << s.stale_served
             << " stale, " << s.cancelled << " cancelled)\n";
   if (injector) {
     const FaultInjector::Counts c = injector->counts();

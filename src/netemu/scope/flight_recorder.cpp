@@ -49,7 +49,6 @@ const char* FlightRecorder::kind_name(Kind k) noexcept {
   switch (k) {
     case Kind::kInfo: return "info";
     case Kind::kShed: return "shed";
-    case Kind::kWatchdog: return "watchdog";
     case Kind::kBreaker: return "breaker";
     case Kind::kHedge: return "hedge";
     case Kind::kFault: return "fault";
@@ -165,16 +164,6 @@ void FlightRecorder::dump(int fd) const noexcept {
     line[n++] = '\n';
     write_all(fd, line, n);
   }
-}
-
-void FlightRecorder::dump_once_to_stderr(const char* reason) noexcept {
-  bool expected = false;
-  if (!dumped_once_.compare_exchange_strong(expected, true)) return;
-  static const char prefix[] = "scope: dumping flight recorder: ";
-  write_all(2, prefix, sizeof(prefix) - 1);
-  if (reason != nullptr) write_all(2, reason, std::strlen(reason));
-  write_all(2, "\n", 1);
-  dump(2);
 }
 
 namespace {

@@ -2,13 +2,13 @@
 // netemu::scope — the flight recorder.
 //
 // A fixed-size lock-free ring of recent notable events per process: breaker
-// transitions, hedge outcomes, sheds, watchdog cancellations, injected
-// faults, crashes.  Writers claim a slot with one fetch_add and fill it
-// with relaxed atomic stores — no locks, no allocation, safe from any
-// thread.  The ring is for postmortems: when a faultline soak dies, a
-// netemu_serve crashes, or a watchdog fires, dump() reconstructs the last
-// few thousand events (with trace ids) from the core of the still-warm
-// process, stderr, or a debugger.
+// transitions, hedge outcomes, sheds, injected faults, crashes.  Writers
+// claim a slot with one fetch_add and fill it with relaxed atomic stores —
+// no locks, no allocation, safe from any thread.  The ring is for
+// postmortems: when a faultline soak dies or netemu_serve crashes, dump()
+// reconstructs the last few thousand events (with trace ids) from the core
+// of the still-warm process, stderr, or a debugger; {"op":"events"} reads
+// them from a live one.
 //
 // Consistency model: a slot's payload is a fixed array of atomic words, so
 // concurrent access is never a data race (TSan-clean by construction).  A
@@ -40,7 +40,6 @@ class FlightRecorder {
   enum class Kind : std::uint32_t {
     kInfo = 0,
     kShed,       ///< admission control rejected a request
-    kWatchdog,   ///< a hung flight was cancelled
     kBreaker,    ///< circuit breaker state transition
     kHedge,      ///< hedge fired / resolved
     kFault,      ///< injected fault (faultline)
@@ -82,10 +81,6 @@ class FlightRecorder {
   /// Async-signal-safe dump of the ring to `fd`, oldest first.
   void dump(int fd) const noexcept;
 
-  /// dump(2) at most once per process (postmortem aid for the first
-  /// watchdog fire / shed burst); `reason` is printed as the header.
-  void dump_once_to_stderr(const char* reason) noexcept;
-
  private:
   struct Slot {
     std::atomic<std::uint64_t> seq{0};  ///< 0 = never written
@@ -96,7 +91,6 @@ class FlightRecorder {
   };
 
   std::atomic<std::uint64_t> next_{0};
-  std::atomic<bool> dumped_once_{false};
   Slot slots_[kSlots];
 };
 

@@ -186,11 +186,11 @@ class Server::Reactor {
       shards_.push_back(std::move(shard));
     }
 
-    const std::size_t offload =
-        options_.offload_threads != 0
-            ? options_.offload_threads
-            : std::max<std::size_t>(8, 2 * std::thread::hardware_concurrency());
-    offload_pool_ = std::make_unique<ThreadPool>(offload);
+    // Threads running the handler for requests the fast path did not
+    // answer.  The handler underneath (executor admission gate, fleet
+    // backends) bounds real concurrency; this only has to exceed it.
+    offload_pool_ = std::make_unique<ThreadPool>(
+        std::max<std::size_t>(8, 2 * std::thread::hardware_concurrency()));
 
     for (auto& shard : shards_) {
       Shard* s = shard.get();
@@ -393,8 +393,9 @@ class Server::Reactor {
     }
     connections_gauge().add(1.0);
     // The client may have written before we registered; with ET that edge
-    // is already behind us, so poll the socket once by hand.
-    on_readable(shard, fd, *c);
+    // is already behind us, so poll the socket once by hand.  A FIN already
+    // queued is still reported by the registration's first event.
+    on_readable(shard, fd, *c, /*hangup=*/false);
   }
 
   void on_socket_event(Shard& shard, int fd, std::uint32_t ev) {
@@ -402,7 +403,8 @@ class Server::Reactor {
     if (it == shard.conns.end()) return;  // closed earlier in this batch
     Conn& conn = *it->second;
     if (ev & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
-      if (!on_readable(shard, fd, conn)) return;  // connection closed
+      const bool hangup = (ev & (EPOLLRDHUP | EPOLLHUP)) != 0;
+      if (!on_readable(shard, fd, conn, hangup)) return;  // closed
     }
     if (ev & EPOLLOUT) {
       if (!try_flush(shard, fd, conn)) return;
@@ -411,8 +413,11 @@ class Server::Reactor {
   }
 
   /// Read until EAGAIN, frame complete lines, serve what can be served.
-  /// False when the connection was closed.
-  bool on_readable(Shard& shard, int fd, Conn& conn) {
+  /// `hangup`: the event reported the peer's FIN, so read on to the EOF —
+  /// edge-triggered epoll will not report that FIN again.  Without it a
+  /// short read means the socket is drained.  False when the connection
+  /// was closed.
+  bool on_readable(Shard& shard, int fd, Conn& conn, bool hangup) {
     char chunk[16384];
     for (;;) {
       std::size_t want = sizeof(chunk);
@@ -435,7 +440,7 @@ class Server::Reactor {
         break;
       }
       conn.in.append(chunk, static_cast<std::size_t>(got));
-      if (static_cast<std::size_t>(got) < want) break;  // short read: drained
+      if (!hangup && static_cast<std::size_t>(got) < want) break;  // drained
     }
     frame_lines(conn);
     if (conn.read_closed) {

@@ -56,13 +56,6 @@ scope::Counter& shed_counter() {
   return c;
 }
 
-scope::Counter& watchdog_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_watchdog_cancellations_total",
-      "Hung flights cancelled by the executor watchdog");
-  return c;
-}
-
 scope::Counter& compute_cancelled_counter() {
   static scope::Counter& c = scope::Registry::global().counter(
       "netemu_compute_cancelled_total",
@@ -98,19 +91,10 @@ QueryExecutor::QueryExecutor(Options options)
     };
   }
   if (options_.faults) cache_.set_fault_injector(options_.faults);
-  if (options_.load_cache && !options_.cache_file.empty()) cache_.load();
-  if (options_.hang_timeout_ms > 0) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-  }
+  if (!options_.cache_file.empty()) cache_.load();
 }
 
 QueryExecutor::~QueryExecutor() {
-  {
-    std::lock_guard lock(mutex_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
   // Queued-but-unstarted tasks answer their waiters before the pool goes
   // away; tasks already on a worker drain below.
   sched_.shed_queued();
@@ -118,58 +102,6 @@ QueryExecutor::~QueryExecutor() {
   // cache before it is persisted.
   pool_.shutdown();
   if (!options_.cache_file.empty()) cache_.save();
-}
-
-void QueryExecutor::watchdog_loop() {
-  const auto timeout = std::chrono::milliseconds(
-      std::max<std::uint64_t>(1, options_.hang_timeout_ms));
-  const auto tick = std::chrono::milliseconds(std::clamp<std::uint64_t>(
-      options_.hang_timeout_ms / 4, 1, 100));
-  std::unique_lock lock(mutex_);
-  while (!watchdog_stop_) {
-    watchdog_cv_.wait_for(lock, tick, [this] { return watchdog_stop_; });
-    if (watchdog_stop_) return;
-    const auto now = Clock::now();
-    std::vector<std::shared_ptr<Flight>> hung;
-    for (const auto& [key, flight] : flights_) {
-      if (now - flight->started > timeout) hung.push_back(flight);
-    }
-    if (hung.empty()) continue;
-    for (const auto& flight : hung) {
-      // Fire the flight's CancelSource so a cooperative compute actually
-      // stops (within one check quantum) instead of burning a worker
-      // until it finishes into an abandoned flight.
-      flight->cancel.request_cancel();
-      ++stats_.hung;
-      // Return the guard charge now, not when (if) the compute returns.
-      retire_locked(*flight);
-      watchdog_counter().inc();
-      scope::FlightRecorder::global().record(
-          scope::FlightRecorder::Kind::kWatchdog, flight->trace_id,
-          "flight key=" + hex64(flight->key) + " cancelled after " +
-              std::to_string(options_.hang_timeout_ms) + " ms");
-    }
-    scope::FlightRecorder::global().dump_once_to_stderr(
-        "executor watchdog cancelled a hung flight");
-    // Publish outside the executor lock: waiters take flight->mutex while
-    // never holding mutex_, and the stuck compute task publishes the same
-    // way when (if) it finishes — its publish is a no-op once done is set.
-    lock.unlock();
-    for (const auto& flight : hung) {
-      {
-        std::lock_guard flight_lock(flight->mutex);
-        if (!flight->done) {
-          flight->response.ok = false;
-          flight->response.error =
-              "query hung: cancelled by watchdog after " +
-              std::to_string(options_.hang_timeout_ms) + " ms";
-          flight->done = true;
-        }
-      }
-      flight->cv.notify_all();
-    }
-    lock.lock();
-  }
 }
 
 std::optional<Response> QueryExecutor::try_cached(const Query& q) {
@@ -246,8 +178,13 @@ Response QueryExecutor::execute(const Query& q) {
     probe.finish();
   }
 
+  // The server deadline is the default and the ceiling: deadline_ms is
+  // client input, and it bounds how long an abandoned flight can hold a
+  // worker and its guard charge.
   const std::uint64_t deadline_ms =
-      q.deadline_ms > 0 ? q.deadline_ms : options_.default_deadline_ms;
+      q.deadline_ms > 0
+          ? std::min(q.deadline_ms, options_.default_deadline_ms)
+          : options_.default_deadline_ms;
   const std::uint64_t cost = guard::query_cost(q);
   const std::string client = q.client.empty() ? std::string("anon") : q.client;
 
@@ -308,7 +245,6 @@ Response QueryExecutor::execute(const Query& q) {
         return finish(response);
       }
       flight = std::make_shared<Flight>();
-      flight->started = start;
       flight->key = key;
       flight->trace_id = tid;
       flight->cost = cost;
@@ -349,6 +285,10 @@ Response QueryExecutor::execute(const Query& q) {
       const auto compute_start = Clock::now();
       scope::SpanTimer sim_span(tid, "sim.run");
       try {
+        // A token that fired while the task was queued (deadline passed,
+        // last waiter gone, cancel op): skip the compute instead of
+        // starting it only to unwind.
+        token.check();
         doc = options_.compute(task_query, token);
         computed.result = doc.dump();
         computed.ok = true;
@@ -401,7 +341,7 @@ Response QueryExecutor::execute(const Query& q) {
       }
       // A failed recompute falls back to the previous cached value so a
       // transient planner fault degrades to slightly-stale instead of down.
-      if (!computed.ok && options_.serve_stale_on_error) {
+      if (!computed.ok) {
         if (auto stale = cache_.get(key)) {
           computed.ok = true;
           computed.stale = true;
@@ -438,17 +378,13 @@ Response QueryExecutor::execute(const Query& q) {
           drain_rate_.note(compute_micros / 1000.0, flight->cost,
                            pool_.size());
         }
-        // No-op when the watchdog already abandoned this flight.
+        // No-op when the last waiter already abandoned this flight.
         retire_locked(*flight);
       }
       {
         std::lock_guard flight_lock(flight->mutex);
-        // If the watchdog already published a "hung" error, the waiters are
-        // gone; leave their response alone.
-        if (!flight->done) {
-          flight->response = std::move(computed);
-          flight->done = true;
-        }
+        flight->response = std::move(computed);
+        flight->done = true;
       }
       flight->cv.notify_all();
     };
@@ -482,9 +418,12 @@ Response QueryExecutor::execute(const Query& q) {
         ++stats_.deadline_exceeded;
         if (flight->waiters > 0) --flight->waiters;
         last_waiter = flight->waiters == 0;
+        // Nobody is listening for this answer any more: return the charge
+        // now, even if the task is still queued behind other work.
+        if (last_waiter) retire_locked(*flight);
       }
       if (last_waiter) {
-        // Nobody is listening for this answer any more: stop paying for it.
+        // ...and stop paying for the compute, running or not yet started.
         flight->cancel.request_cancel();
         scope::FlightRecorder::global().record(
             scope::FlightRecorder::Kind::kInfo, tid,
@@ -560,15 +499,13 @@ void QueryExecutor::shed_unstarted_flight(
       "queued flight shed before start key=" + hex64(key));
   {
     std::lock_guard flight_lock(flight->mutex);
-    if (!flight->done) {
-      flight->response.ok = false;
-      flight->response.overloaded = true;
-      // Draining sheds carry no retry hint — this server is going away;
-      // the caller should fail over, not wait.
-      flight->response.error =
-          was_draining ? "overloaded: draining" : "executor shutting down";
-      flight->done = true;
-    }
+    flight->response.ok = false;
+    flight->response.overloaded = true;
+    // Draining sheds carry no retry hint — this server is going away;
+    // the caller should fail over, not wait.
+    flight->response.error =
+        was_draining ? "overloaded: draining" : "executor shutting down";
+    flight->done = true;
   }
   flight->cv.notify_all();
 }
@@ -617,9 +554,7 @@ void QueryExecutor::retire_locked(Flight& flight) {
 
 double QueryExecutor::pressure() const { return guard_.pressure(); }
 
-std::size_t QueryExecutor::pending() const { return active_flights(); }
-
-std::size_t QueryExecutor::active_flights() const {
+std::size_t QueryExecutor::pending() const {
   std::lock_guard lock(mutex_);
   return flights_.size();
 }

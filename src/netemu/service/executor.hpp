@@ -13,23 +13,23 @@
 // Single-flight matters because the expensive queries are the memoizable
 // ones: a thundering herd of identical `estimate` requests triggers exactly
 // one packet simulation; the rest block on the flight and share its result.
-// Waiters honor a per-query deadline — a timed-out waiter gets an error
-// response, but the computation still completes and still fills the cache.
+// Waiters honor a per-query deadline, capped at default_deadline_ms — a
+// timed-out waiter gets an error response, but a compute that is already
+// running still completes and still fills the cache.
 //
 // Resilience (netemu::faultline integration):
-//  * a watchdog thread cancels flights older than hang_timeout_ms — waiters
-//    get a "hung" error, the guard charge is returned immediately, AND the
-//    flight's CancelSource fires so a cooperative compute unwinds within one
-//    check quantum instead of burning a pool worker until completion;
 //  * cooperative cancellation end-to-end (docs/LIFECYCLE.md): every flight
 //    owns a CancelSource armed with the leader's deadline; compute stopped
 //    mid-sweep surfaces completed trials as a degraded partial result (kept
-//    out of the cache), watchdog abandonment / last-waiter deadline expiry /
-//    cancel_trace (the {"op":"cancel"} verb) all convert to real compute
-//    cancellation, and begin_drain() sheds new work while cancel_all()
+//    out of the cache), and begin_drain() sheds new work while cancel_all()
 //    reclaims what is still running;
-//  * serve_stale_on_error: a recompute (refresh=true) that fails falls back
-//    to the previous cached value, marked stale, instead of erroring;
+//  * the deadline is the one timer that abandons a flight: when its last
+//    waiter leaves at the deadline the flight is retired at once (key
+//    unregistered, guard charge returned) and its token fired, so a running
+//    compute unwinds within one check quantum and a still-queued one never
+//    starts;
+//  * a recompute (refresh=true) that fails falls back to the previous
+//    cached value, marked stale, instead of erroring;
 //  * Options::faults routes worker stalls from a FaultInjector into the
 //    compute path, so chaos tests exercise all of the above.
 
@@ -41,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "netemu/guard/fair_queue.hpp"
@@ -76,32 +75,28 @@ class QueryExecutor {
  public:
   struct Options {
     std::size_t threads = 0;        ///< worker threads; 0 = hardware
+    /// Deadline for a query that names none, and the ceiling for one that
+    /// does: a client may shorten its deadline but not extend it.
     std::uint64_t default_deadline_ms = 30000;
     std::size_t cache_capacity = 4096;
-    std::string cache_file;         ///< empty = memory-only cache
-    bool load_cache = true;         ///< load cache_file on construction
+    std::string cache_file;         ///< empty = memory-only cache; loaded
+                                    ///< on construction when set
     /// Write-ahead journal: fsync every put to `<cache_file>.wal` so a
     /// SIGKILL'd process rejoins warm (see ResultCache).  Needs cache_file.
     bool cache_journal = false;
-    /// Flights older than this are cancelled by the watchdog (waiters get
-    /// an error, the guard charge is returned).  0 disables the watchdog.
-    std::uint64_t hang_timeout_ms = 0;
     /// Backoff hint attached to shed ("overloaded") responses.  Used as-is
     /// until the executor has completed at least one compute; after that the
     /// hint scales with backlog depth x observed drain rate (clamped),
     /// so a deep backlog tells clients to wait longer than a shallow one.
     std::uint64_t retry_after_hint_ms = 50;
-    /// When a forced recompute fails, serve the previous cached value
-    /// (marked stale) instead of the error.
-    bool serve_stale_on_error = true;
     /// Fault injector for chaos testing (worker stalls + cache disk
     /// faults).  Not owned; must outlive the executor.  nullptr disables.
     FaultInjector* faults = nullptr;
     /// Compute function; defaults to plan_query with the executor's own
     /// pool passed down (estimate trials then run concurrently).  Tests
     /// inject counters and slow functions here.  The token is the flight's:
-    /// armed with the leader's deadline, fired by the watchdog / the last
-    /// departing waiter / cancel_trace / cancel_all.  Compute that honors
+    /// armed with the leader's deadline, fired by the last departing
+    /// waiter / cancel_trace / cancel_all.  Compute that honors
     /// it either throws CancelledError or returns a document with
     /// "degraded": true (see plan_query); compute that ignores it merely
     /// keeps the pre-cancellation behavior.
@@ -120,7 +115,7 @@ class QueryExecutor {
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
   /// Blocking: returns when the answer is available, the deadline passes,
-  /// the watchdog cancels the flight, or the request is shed.
+  /// or the request is shed.
   Response execute(const Query& q);
 
   /// Non-blocking fast path: answer `q` only if it is a plain cache hit
@@ -139,7 +134,6 @@ class QueryExecutor {
     std::uint64_t rejected = 0;        ///< shed by admission control
     std::uint64_t deadline_exceeded = 0;
     std::uint64_t errors = 0;          ///< compute failures
-    std::uint64_t hung = 0;            ///< flights cancelled by the watchdog
     std::uint64_t stale_served = 0;    ///< recompute failures served stale
     std::uint64_t cancelled = 0;       ///< computes stopped by cooperative
                                        ///< cancellation (degraded partials
@@ -174,10 +168,9 @@ class QueryExecutor {
   };
   ComputeTimes compute_times() const;
 
-  /// Leader flights queued or running.
+  /// Flights registered for single-flight joins: queued or running, with
+  /// at least one waiter left.
   std::size_t pending() const;
-  /// Flights currently registered (single-flight map size).
-  std::size_t active_flights() const;
   /// Seconds since construction (for the health report).
   double uptime_seconds() const;
 
@@ -202,7 +195,6 @@ class QueryExecutor {
     std::condition_variable cv;
     bool done = false;
     Response response;
-    Clock::time_point started;  // immutable after creation
     std::uint64_t key = 0;          // immutable after creation
     std::uint64_t trace_id = 0;     // leader's trace id (immutable)
     std::uint64_t cost = 0;         // admission cost units (immutable)
@@ -210,15 +202,14 @@ class QueryExecutor {
     // Unregistered and un-charged; guarded by the executor mutex_.
     bool retired = false;
     // Deadline armed at creation (before the compute task exists); fired by
-    // the watchdog, the last departing waiter, cancel_trace, or cancel_all.
+    // the last departing waiter, cancel_trace, or cancel_all.
     CancelSource cancel;
     std::size_t waiters = 0;    // guarded by the executor mutex_
   };
 
-  void watchdog_loop();
   /// Unregister a flight and return its guard charge, exactly once: the
-  /// watchdog, the finishing task and the shed callback may each reach here
-  /// for the same flight.  Caller holds mutex_.
+  /// last waiter leaving at its deadline, the finishing task and the shed
+  /// callback may each reach here for the same flight.  Caller holds mutex_.
   void retire_locked(Flight& flight);
   /// Answer a queued-but-never-started flight (drain shed, pool refusal):
   /// retire it and publish an overloaded/draining response to its waiters.
@@ -240,10 +231,6 @@ class QueryExecutor {
   guard::Guard guard_;  // the pending-cost ledger; its own lock
   scope::Histogram compute_us_;  // lock-free; written by workers, read by
                                  // compute_times() without mutex_
-
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;  // guarded by mutex_
-  std::thread watchdog_;
 
   // Declared last: the destructor sheds sched_'s queue and drains pool_
   // while cache_ and flights_ are still alive for in-flight tasks to

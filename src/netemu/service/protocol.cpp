@@ -46,7 +46,6 @@ std::string stats_line(QueryExecutor& exec, const Json& request) {
   result["rejected"] = s.rejected;
   result["deadline_exceeded"] = s.deadline_exceeded;
   result["errors"] = s.errors;
-  result["hung"] = s.hung;
   result["stale_served"] = s.stale_served;
   result["cancelled"] = s.cancelled;
   Json cache = Json::object();
@@ -113,8 +112,7 @@ std::string health_line(QueryExecutor& exec) {
   shed["retry_after_ms"] = exec.options().retry_after_hint_ms;
 
   Json flights = Json::object();
-  flights["active"] = exec.active_flights();
-  flights["hung"] = s.hung;
+  flights["active"] = exec.pending();
   flights["stale_served"] = s.stale_served;
   flights["cancelled"] = s.cancelled;
 

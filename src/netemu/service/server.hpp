@@ -68,10 +68,6 @@ class Server {
     FaultInjector* faults = nullptr;
     /// Reactor shards; 0 = hardware threads.
     std::size_t io_threads = 0;
-    /// Threads running the handler for requests the fast path did not
-    /// answer; 0 = max(8, 2 x hardware threads).  The handler underneath
-    /// (executor admission gate, fleet backends) bounds real concurrency.
-    std::size_t offload_threads = 0;
     /// Per-connection pending-output cap; a consumer further behind than
     /// this is disconnected (backpressure) instead of buffering unboundedly.
     std::size_t max_output_bytes = 8u << 20;

@@ -1,7 +1,7 @@
 // Tests for netemu::faultline and the resilience it forces on the service
 // stack: deterministic fault plans, channel behavior under partial I/O and
 // drops, crash-safe cache persistence (torn-write sweep, checksum
-// quarantine), the executor watchdog + serve-stale + shedding hints, client
+// quarantine), deadline abandonment + serve-stale + shedding hints, client
 // retries, the health op, and a miniature multi-seed chaos soak.
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -387,7 +388,7 @@ Query bandwidth_query(double n) {
   return q;
 }
 
-TEST(ExecutorFaults, WatchdogCancelsHungFlightAndFreesSlot) {
+TEST(ExecutorFaults, DeadlineAbandonsStuckFlightAndFreesSlot) {
   auto gate = std::make_shared<std::promise<void>>();
   auto gate_future =
       std::make_shared<std::shared_future<void>>(gate->get_future());
@@ -395,7 +396,6 @@ TEST(ExecutorFaults, WatchdogCancelsHungFlightAndFreesSlot) {
   QueryExecutor::Options options;
   options.threads = 2;
   options.guard.cost_budget = 1;
-  options.hang_timeout_ms = 60;
   options.compute = [gate_future, calls](const Query& q, const CancelToken&) {
     if (calls->fetch_add(1) == 0) gate_future->wait();  // first call hangs
     Json doc = Json::object();
@@ -405,19 +405,19 @@ TEST(ExecutorFaults, WatchdogCancelsHungFlightAndFreesSlot) {
   QueryExecutor executor(std::move(options));
 
   Query hung = bandwidth_query(64);
-  hung.deadline_ms = 5000;
+  hung.deadline_ms = 60;
   const auto start = std::chrono::steady_clock::now();
   const Response r = executor.execute(hung);
   const auto elapsed = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - start)
                            .count();
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("hung"), std::string::npos) << r.error;
-  EXPECT_LT(elapsed, 2000.0);  // the watchdog beat the 5s deadline
-  EXPECT_EQ(executor.stats().hung, 1u);
+  EXPECT_NE(r.error.find("deadline"), std::string::npos) << r.error;
+  EXPECT_LT(elapsed, 2000.0);  // the deadline, not the stuck compute, ended it
 
   // The admission slot was freed: with cost_budget=1 a new query is accepted.
   EXPECT_EQ(executor.pending(), 0u);
+  EXPECT_EQ(executor.overload_guard()->pending_cost(), 0u);
   const Response next = executor.execute(bandwidth_query(128));
   EXPECT_TRUE(next.ok) << next.error;
 
@@ -430,7 +430,7 @@ TEST(ExecutorFaults, WatchdogCancelsHungFlightAndFreesSlot) {
   EXPECT_TRUE(executor.cache().get(hung.cache_key()).has_value());
 }
 
-TEST(ExecutorFaults, WatchdogFreesSlotWithFairShareOn) {
+TEST(ExecutorFaults, DeadlineFreesSlotWithFairShareOn) {
   // The same budget-1 "slot freed" case with the fair-share cap on: the
   // abandoned flight's charge must come back at abandonment, not when its
   // compute finally returns.
@@ -442,7 +442,6 @@ TEST(ExecutorFaults, WatchdogFreesSlotWithFairShareOn) {
   options.threads = 2;
   options.guard.cost_budget = 1;
   options.guard.client_share = 0.5;
-  options.hang_timeout_ms = 60;
   options.compute = [gate_future, calls](const Query& q, const CancelToken&) {
     if (calls->fetch_add(1) == 0) gate_future->wait();  // first call hangs
     Json doc = Json::object();
@@ -452,10 +451,10 @@ TEST(ExecutorFaults, WatchdogFreesSlotWithFairShareOn) {
   QueryExecutor executor(std::move(options));
 
   Query hung = bandwidth_query(64);
-  hung.deadline_ms = 5000;
+  hung.deadline_ms = 60;
   const Response r = executor.execute(hung);
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("hung"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("deadline"), std::string::npos) << r.error;
   EXPECT_EQ(executor.pending(), 0u);
   EXPECT_EQ(executor.overload_guard()->pending_cost(), 0u);
   const Response next = executor.execute(bandwidth_query(128));
@@ -469,9 +468,9 @@ TEST(ExecutorFaults, WatchdogFreesSlotWithFairShareOn) {
   EXPECT_EQ(executor.overload_guard()->pending_cost(), 0u);
 }
 
-TEST(ExecutorFaults, WatchdogReturnsTheGuardChargeExactlyOnce) {
+TEST(ExecutorFaults, DeadlineReturnsTheGuardChargeExactlyOnce) {
   // Budget 2: the abandoned flight returns its unit at abandonment and a
-  // second flight takes one.  When the hung compute finally returns it
+  // second flight takes one.  When the stuck compute finally returns it
   // must not return its unit again, or the ledger would read 0 with the
   // second flight still running.
   auto hung_gate = std::make_shared<std::promise<void>>();
@@ -483,9 +482,6 @@ TEST(ExecutorFaults, WatchdogReturnsTheGuardChargeExactlyOnce) {
   QueryExecutor::Options options;
   options.threads = 2;
   options.guard.cost_budget = 2;
-  // Long enough that the second flight is never abandoned while the test
-  // inspects the ledger.
-  options.hang_timeout_ms = 500;
   options.compute = [hung_future, second_future](const Query& q,
                                                  const CancelToken&) {
     if (q.n == 64) hung_future->wait();
@@ -498,11 +494,13 @@ TEST(ExecutorFaults, WatchdogReturnsTheGuardChargeExactlyOnce) {
   const guard::Guard& guard = *executor.overload_guard();
 
   Query hung = bandwidth_query(64);
-  hung.deadline_ms = 5000;
+  hung.deadline_ms = 60;
   const Response r = executor.execute(hung);
-  EXPECT_NE(r.error.find("hung"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("deadline"), std::string::npos) << r.error;
   EXPECT_EQ(guard.pending_cost(), 0u);
 
+  // The second query keeps the server default deadline, so it is never
+  // abandoned while the test inspects the ledger.
   Response second;
   std::thread waiter([&] { second = executor.execute(bandwidth_query(128)); });
   for (int i = 0; i < 2000 && executor.pending() < 1; ++i) {
@@ -511,20 +509,85 @@ TEST(ExecutorFaults, WatchdogReturnsTheGuardChargeExactlyOnce) {
   ASSERT_EQ(executor.pending(), 1u);
   EXPECT_EQ(guard.pending_cost(), 1u);
 
-  // The hung compute returns; its completion is accounted (computed) under
+  // The stuck compute returns; its completion is accounted (computed) under
   // the same lock that would return its charge a second time.
   hung_gate->set_value();
   for (int i = 0; i < 2000 && executor.stats().computed < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(executor.stats().computed, 1u);
-  EXPECT_EQ(executor.stats().hung, 1u);  // the second flight still runs
+  EXPECT_EQ(executor.pending(), 1u);  // the second flight still runs
   EXPECT_EQ(guard.pending_cost(), 1u);
 
   second_gate->set_value();
   waiter.join();
   EXPECT_TRUE(second.ok) << second.error;
   EXPECT_EQ(guard.pending_cost(), 0u);
+}
+
+TEST(ExecutorFaults, DeadlineReleasesAQueuedFlightWhileTheWorkerIsBusy) {
+  // One worker, held by a gated first flight.  A second flight waits in
+  // the queue behind it past its deadline: its charge must come back at
+  // that deadline, not when a worker finally dequeues it, so a third query
+  // is admitted while the first still runs.  Dequeued later, the abandoned
+  // flight never reaches the compute.
+  auto gate = std::make_shared<std::promise<void>>();
+  auto gate_future =
+      std::make_shared<std::shared_future<void>>(gate->get_future());
+  auto computed_n = std::make_shared<std::vector<double>>();
+  auto computed_mutex = std::make_shared<std::mutex>();
+  QueryExecutor::Options options;
+  options.threads = 1;
+  options.guard.cost_budget = 2;
+  options.compute = [gate_future, computed_n, computed_mutex](
+                        const Query& q, const CancelToken&) {
+    {
+      std::lock_guard lock(*computed_mutex);
+      computed_n->push_back(q.n);
+    }
+    if (q.n == 64) gate_future->wait();
+    Json doc = Json::object();
+    doc["n"] = q.n;
+    return doc;
+  };
+  QueryExecutor executor(std::move(options));
+  const guard::Guard& guard = *executor.overload_guard();
+
+  Response first;
+  std::thread first_waiter(
+      [&] { first = executor.execute(bandwidth_query(64)); });
+  for (int i = 0; i < 2000 && executor.pending() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(guard.pending_cost(), 1u);
+
+  Query queued = bandwidth_query(128);
+  queued.deadline_ms = 60;
+  const Response expired = executor.execute(queued);
+  EXPECT_FALSE(expired.ok);
+  EXPECT_NE(expired.error.find("deadline"), std::string::npos)
+      << expired.error;
+  EXPECT_EQ(guard.pending_cost(), 1u);  // only the running first flight
+  EXPECT_EQ(executor.pending(), 1u);
+
+  Response third;
+  std::thread third_waiter(
+      [&] { third = executor.execute(bandwidth_query(256)); });
+  for (int i = 0; i < 2000 && executor.pending() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(executor.pending(), 2u);  // admitted, queued behind the first
+  EXPECT_EQ(guard.pending_cost(), 2u);
+  EXPECT_EQ(executor.stats().rejected, 0u);
+
+  gate->set_value();
+  first_waiter.join();
+  third_waiter.join();
+  EXPECT_TRUE(first.ok) << first.error;
+  EXPECT_TRUE(third.ok) << third.error;
+  EXPECT_EQ(guard.pending_cost(), 0u);
+  std::lock_guard lock(*computed_mutex);
+  EXPECT_EQ(*computed_n, (std::vector<double>{64, 256}));
 }
 
 TEST(ExecutorFaults, RefreshBypassesCacheAndRecomputes) {
@@ -659,7 +722,6 @@ TEST(Protocol, HealthReportsPoolCacheAndShedState) {
   EXPECT_FALSE(result["cache"]["persistent"].as_bool());
   EXPECT_EQ(result["shed"]["retry_after_ms"].as_int(), 33);
   EXPECT_EQ(result["flights"]["active"].as_int(), 0);
-  EXPECT_EQ(result["flights"]["hung"].as_int(), 0);
 }
 
 TEST(Protocol, OverlongRequestLineGetsProtocolErrorAndConnectionSurvives) {
@@ -827,7 +889,6 @@ TEST(ChaosSoak, MultiSeedRoundTripsLoseNothing) {
       QueryExecutor::Options options;
       options.threads = 2;
       options.guard.cost_budget = 32;
-      options.hang_timeout_ms = 2000;
       options.cache_file = cache_path;
       options.faults = &injector;
       options.compute = [](const Query& q, const CancelToken&) {

@@ -340,7 +340,6 @@ TEST(ScopeFlightRecorder, KindNamesAreStable) {
   using K = scope::FlightRecorder::Kind;
   EXPECT_STREQ(scope::FlightRecorder::kind_name(K::kShed), "shed");
   EXPECT_STREQ(scope::FlightRecorder::kind_name(K::kBreaker), "breaker");
-  EXPECT_STREQ(scope::FlightRecorder::kind_name(K::kWatchdog), "watchdog");
   EXPECT_STREQ(scope::FlightRecorder::kind_name(K::kHedge), "hedge");
 }
 
@@ -386,7 +385,6 @@ QueryExecutor::Options traced_executor_options(bool journal,
   QueryExecutor::Options o;
   o.threads = 1;
   o.cache_file = cache_file;
-  o.load_cache = false;
   o.cache_journal = journal && !cache_file.empty();
   o.faults = faults;
   o.compute = [](const Query&, const CancelToken&) {

@@ -7,6 +7,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -832,6 +834,15 @@ class RawConn {
   /// Stop sending but keep reading (half-close).
   void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
 
+  /// Bound every later read, so a missing answer or EOF fails the test
+  /// instead of hanging it.
+  void set_recv_timeout_ms(int ms) {
+    timeval tv{};
+    tv.tv_sec = ms / 1000;
+    tv.tv_usec = (ms % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+
   /// Read up to the next '\n'; empty string on EOF/error before one.
   std::string read_line() {
     std::string line;
@@ -985,6 +996,50 @@ TEST(ServerFraming, HalfCloseMidRequestGetsNoAnswer) {
   ASSERT_TRUE(conn.send_all(R"({"op":"estimate","family":"Butter)"));
   conn.shutdown_write();
   EXPECT_TRUE(conn.read_eof());
+}
+
+TEST(ServerFraming, HalfCloseQueuedWithItsRequestOnABusyShardStillCloses) {
+  // One shard, held inline by a fast-path request on another connection.
+  // Meanwhile the probe's request and its FIN queue up together, so the
+  // shard later sees them as ONE edge-triggered event carrying EPOLLRDHUP:
+  // it must read on past the request's short read to the EOF, or the
+  // answered socket is never closed.
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  Server::Options options;
+  options.io_threads = 1;
+  options.fast_handler =
+      [&entered, released](const std::string& line) -> std::optional<std::string> {
+    if (line != "hold") return std::nullopt;
+    entered.set_value();
+    released.wait();
+    return std::string(R"({"ok":true})");
+  };
+  EchoServer s(options);
+  ASSERT_TRUE(s.started);
+  RawConn probe(s.server->port());
+  RawConn holder(s.server->port());
+  ASSERT_TRUE(probe.ok());
+  ASSERT_TRUE(holder.ok());
+  probe.set_recv_timeout_ms(5000);
+
+  // The probe is registered on the shard before the shard is held.
+  ASSERT_TRUE(probe.send_all("{\"op\":\"ping\"}\n"));
+  ASSERT_TRUE(Json::parse(probe.read_line())["ok"].as_bool());
+  ASSERT_TRUE(holder.send_all("hold\n"));
+  entered.get_future().wait();
+
+  ASSERT_TRUE(probe.send_all(
+      R"({"op":"estimate","family":"Butterfly","n":128})" "\n"));
+  probe.shutdown_write();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release.set_value();
+
+  const Json response = Json::parse(probe.read_line());
+  EXPECT_TRUE(response["ok"].as_bool());
+  EXPECT_EQ(response["result"]["n"].as_int(), 128);
+  EXPECT_TRUE(probe.read_eof());
 }
 
 // ------------------------------------------------- lifecycle, binding --
